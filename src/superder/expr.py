@@ -15,7 +15,9 @@ format(parse(s)) == s for canonical s.
 
 Derivations print as "ad(expr)", optionally followed by "+ q*D" for the
 outer direction, or as a bare outer part "D" / "q*D"; "0" is the zero
-derivation.
+derivation.  The outer coefficient q follows the same rational rule:
+
+    outer    := [rational '*'] 'D'
 """
 
 from __future__ import annotations
@@ -141,22 +143,26 @@ def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
     raise ParseError("expected a generator", s.pos)
 
 
-def _parse_term(s: _Scanner, family: AlgebraFamily) -> Tuple[BasisVector, Fraction]:
-    coeff = Fraction(1)
+def _parse_coefficient(s: _Scanner) -> Fraction:
+    """An optional ``rational '*'`` prefix; 1 when absent."""
     ch = s.peek()
-    if ch.isdigit() or ch == "-":
-        num = _parse_signed_digits(s)
-        if s.peek() == "/":
-            s.take()
-            den_pos = s.pos
-            den = Fraction(int(s.digits()))
-            if den == 0:
-                raise ParseError("zero denominator", den_pos)
-            num = num / den
-        s.expect("*")
-        coeff = num
-    bv = _parse_gen(s, family)
-    return bv, coeff
+    if not (ch.isdigit() or ch == "-"):
+        return Fraction(1)
+    coeff = _parse_signed_digits(s)
+    if s.peek() == "/":
+        s.take()
+        den_pos = s.pos
+        den = int(s.digits())
+        if den == 0:
+            raise ParseError("zero denominator", den_pos)
+        coeff = coeff / den
+    s.expect("*")
+    return coeff
+
+
+def _parse_term(s: _Scanner, family: AlgebraFamily) -> Tuple[BasisVector, Fraction]:
+    coeff = _parse_coefficient(s)
+    return _parse_gen(s, family), coeff
 
 
 def parse_element(src: str, family: AlgebraFamily) -> Element:
@@ -218,21 +224,16 @@ def format_derivation(d: SuperDerivation) -> str:
     return " ".join(parts)
 
 
-def _parse_outer_part(body: str, sign: int, family: AlgebraFamily,
-                      position: int) -> Fraction:
-    body = body.strip()
+def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction:
+    """``[rational '*'] 'D'`` up to the end of the input, times ``sign``."""
     if family is not AlgebraFamily.SW22:
         raise KindNotInFamilyError(
-            "the outer derivation direction exists only in family sw22", position)
-    if body == "D":
-        return Fraction(sign)
-    if body.endswith("*D"):
-        try:
-            return sign * Fraction(body[:-2].strip())
-        except (ValueError, ZeroDivisionError):
-            raise ParseError("malformed outer coefficient %r" % body[:-2],
-                             position) from None
-    raise ParseError("malformed outer derivation term %r" % body, position)
+            "the outer derivation direction exists only in family sw22", s.pos)
+    coeff = _parse_coefficient(s)
+    s.expect("D")
+    if not s.at_end():
+        raise ParseError("unexpected %r after the outer part" % s.peek(), s.pos)
+    return sign * coeff
 
 
 def parse_derivation(src: str, family: AlgebraFamily) -> SuperDerivation:
@@ -240,25 +241,21 @@ def parse_derivation(src: str, family: AlgebraFamily) -> SuperDerivation:
     text = src.strip()
     if text == "0":
         return SuperDerivation.zero(family)
+    s = _Scanner(text)
     inner = Element.zero(family)
-    rest = text
+    sign = 1
     if text.startswith("ad("):
         close = text.find(")")
         if close < 0:
             raise ParseError("unclosed 'ad('", len(text))
         inner = parse_element(text[3:close], family)
-        rest = text[close + 1:].strip()
-        if rest:
-            if rest[0] not in ("+", "-"):
-                raise ParseError("expected '+' or '-' before the outer part",
-                                 close + 1)
-            sign = 1 if rest[0] == "+" else -1
-            lam = _parse_outer_part(rest[1:], sign, family, close + 1)
-            return SuperDerivation(family, inner, lam)
-        return SuperDerivation(family, inner)
-    sign = 1
-    if rest.startswith("-"):
+        s.pos = close + 1
+        if s.at_end():
+            return SuperDerivation(family, inner)
+        if s.peek() not in ("+", "-"):
+            raise ParseError("expected '+' or '-' before the outer part", s.pos)
+        sign = 1 if s.take() == "+" else -1
+    elif s.peek() == "-":
+        s.take()
         sign = -1
-        rest = rest[1:].strip()
-    lam = _parse_outer_part(rest, sign, family, 0)
-    return SuperDerivation(family, Element.zero(family), lam)
+    return SuperDerivation(family, inner, _parse_outer_part(s, sign, family))

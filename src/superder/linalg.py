@@ -1,9 +1,15 @@
 """Exact linear algebra over the rationals for label-indexed sparse matrices.
 
-The solver is a plain Gauss-Jordan elimination.  Rows are scaled to primitive
-integer vectors internally so that elimination stays in exact integer
-arithmetic; results are reported as ``Fraction`` values with unit pivots.
-Performance beyond a few hundred columns is a non-goal.
+One elimination routine serves kernels, ranks and span membership: a sparse,
+fraction-free Gauss-Jordan elimination over primitive integer rows.  A row is
+a dict from column index to a nonzero int, scaled so that its entries have no
+common factor; a row operation ``p*a - q*b`` touches only the union of the two
+supports and is divided by its gcd again.  The matrices met here are graded
+by degree and nearly empty, so the cost follows the nonzero entries rather
+than the rows times columns.  Pivots become units only at the end, when the
+reduced rows are reported as ``Fraction`` values; the reduced row echelon form
+of a row space is unique, so the canonical output does not depend on the
+order of the eliminations.
 """
 
 from __future__ import annotations
@@ -11,9 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
 
-Row = List[Fraction]
+IntRow = Dict[int, int]
 
 
 @dataclass
@@ -46,91 +52,86 @@ class LabeledMatrix:
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
 
-    def dense_rows(self) -> List[Row]:
-        """All rows as dense Fraction lists, zero rows included."""
-        out = []
-        for r in self.row_labels:
-            out.append([self.entries.get((r, c), Fraction(0)) for c in self.col_labels])
-        return out
+
+def _sparse_rows(m: LabeledMatrix) -> List[Dict[int, Fraction]]:
+    """The nonzero rows of m, as ``{column index: value}`` dicts."""
+    col_index = {c: j for j, c in enumerate(m.col_labels)}
+    rows: Dict[Hashable, Dict[int, Fraction]] = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[col_index[c]] = v
+    return list(rows.values())
 
 
-def _primitive_int_row(row: Sequence[Fraction]):
-    """Scale a rational row to a primitive integer row; None if zero."""
-    if not any(row):
-        return None
-    den = 1
-    for x in row:
-        if x:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+def _primitive(row: Dict[int, Fraction]) -> IntRow:
+    """Scale a nonzero sparse rational row to a primitive integer row."""
+    den = math.lcm(*(x.denominator for x in row.values()))
+    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
+    g = math.gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()} if g > 1 else ints
 
 
-def _rref(rows: Sequence[Sequence[Fraction]]) -> Tuple[List[Row], List[int]]:
-    """Reduced row echelon form with unit pivots.
+def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
+    """``p*a - q*b`` with the entry in ``col`` cancelled, divided by its gcd."""
+    p, q = b[col], a[col]
+    g = math.gcd(p, q)
+    p, q = p // g, q // g
+    out = {j: p * v for j, v in a.items()}
+    for j, v in b.items():
+        w = out.get(j, 0) - q * v
+        if w:
+            out[j] = w
+        else:
+            del out[j]
+    g = math.gcd(*out.values())
+    return {j: v // g for j, v in out.items()} if g > 1 else out
 
-    Returns the nonzero reduced rows (ordered by pivot column) and the pivot
-    column indices.  Deterministic: the first row with a nonzero entry in the
-    current column is chosen as pivot.
-    """
-    work = []
+
+def _echelon(rows: Iterable[Dict[int, Fraction]]) -> Dict[int, IntRow]:
+    """Forward pass: primitive integer echelon rows keyed by pivot column."""
+    pivots: Dict[int, IntRow] = {}
     for row in rows:
-        ints = _primitive_int_row(row)
-        if ints is not None:
-            work.append(ints)
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(work)):
-            if work[i][c]:
-                piv = i
+        work = _primitive(row) if row else {}
+        while work:
+            col = min(work)
+            prow = pivots.get(col)
+            if prow is None:
+                pivots[col] = work
                 break
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(len(work)):
-            if i == r:
-                continue
-            q = work[i][c]
-            if not q:
-                continue
-            newrow = [a * p - b * q for a, b in zip(work[i], prow)]
-            g = 0
-            for v in newrow:
-                g = math.gcd(g, v)
-            if g > 1:
-                newrow = [v // g for v in newrow]
-            work[i] = newrow
-        pivots.append(c)
-        r += 1
-        if r == len(work):
-            break
-    reduced = []
-    for row, c in zip(work[:r], pivots):
-        p = row[c]
-        reduced.append([Fraction(v, p) for v in row])
-    return reduced, pivots
+            work = _eliminate(work, prow, col)
+    return pivots
+
+
+def _reduced_echelon(rows: Iterable[Dict[int, Fraction]]
+                     ) -> List[Tuple[int, Dict[int, Fraction]]]:
+    """Reduced row echelon form with unit pivots, as (pivot, row) in pivot order.
+
+    Each reduced row lists its nonzero entries in ascending column order.
+    """
+    pivots = _echelon(rows)
+    order = sorted(pivots)
+    for col in reversed(order):
+        # Rows below are already reduced, so clearing one pivot column of
+        # this row brings in entries at free columns only.
+        row = pivots[col]
+        for j in [j for j in row if j > col and j in pivots]:
+            row = _eliminate(row, pivots[j], j)
+        pivots[col] = row
+    out = []
+    for col in order:
+        row = pivots[col]
+        p = row[col]
+        out.append((col, {j: Fraction(row[j], p) for j in sorted(row)}))
+    return out
 
 
 def rows_rank(rows: Sequence[Sequence[Fraction]]) -> int:
     """Rank of a dense list of rational rows."""
-    return len(_rref(rows)[1])
+    return len(_echelon({j: x for j, x in enumerate(row) if x} for row in rows))
 
 
 def rank(m: LabeledMatrix) -> int:
     """Exact rank of a labeled matrix."""
-    return rows_rank(m.dense_rows())
+    return len(_echelon(_sparse_rows(m)))
 
 
 def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
@@ -143,28 +144,17 @@ def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
     Exactness contract: ``m @ v == 0`` holds with no tolerance.
     """
     cols = m.col_labels
-    n = len(cols)
-    if n == 0:
-        return ()
-    reduced, pivots = _rref(m.dense_rows())
-    pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set]
-    if not free:
-        return ()
-    vectors: List[Row] = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            coef = reduced[i][f]
-            if coef:
-                v[p] = -coef
-        vectors.append(v)
-    canonical, _ = _rref(vectors)
-    return tuple(
-        {cols[j]: val for j, val in enumerate(row) if val}
-        for row in canonical
-    )
+    reduced = _reduced_echelon(_sparse_rows(m))
+    pivots = {col for col, _ in reduced}
+    # Free column f gives e_f minus row[f] * e_pivot over the reduced rows.
+    vectors: Dict[int, Dict[int, Fraction]] = {
+        f: {f: Fraction(1)} for f in range(len(cols)) if f not in pivots}
+    for col, row in reduced:
+        for j, coef in row.items():
+            if j != col:
+                vectors[j][col] = -coef
+    return tuple({cols[j]: val for j, val in row.items()}
+                 for _, row in _reduced_echelon(vectors.values()))
 
 
 def matvec(m: LabeledMatrix, v: Dict[Hashable, Fraction]) -> Dict[Hashable, Fraction]:

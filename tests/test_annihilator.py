@@ -215,6 +215,19 @@ class TestCoordsAndSpan:
         assert not span_contains((b1, b2), outside, window)
         assert span_contains((), SuperDerivation.zero(SVIR0), window)
 
+    def test_span_contains_annihilator_members(self):
+        window = GradedWindow(F(4))
+        space = annihilator_basis(el(SW22, (KIND_L, 1, 1), (KIND_I, 2, 1)), window)
+        assert space.dimension >= 2
+        first, second = space.basis[:2]
+        ad_l0 = SuperDerivation.ad(el(SW22, (KIND_L, 0, 1)))
+        assert not span_contains(space.basis, ad_l0, window)
+        assert span_contains(space.basis, first, window)
+        assert span_contains(space.basis, first + second, window)
+        assert not span_contains(space.basis, first + ad_l0, window)
+        outside = SuperDerivation.ad(el(SW22, (KIND_I, 5, 1)))
+        assert not span_contains(space.basis, outside, window)
+
     def test_space_contains_wraps_span(self):
         space = annihilator_basis(el(SVIR0, (KIND_G, 2, 1)), GradedWindow(F(6)))
         assert space.contains(SuperDerivation.ad(el(SVIR0, (KIND_L, 4, -7))))

@@ -186,6 +186,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ParseError (position 3):")
 
+    @pytest.mark.parametrize("coeff", ["1.5", "1e2"])
+    def test_non_rational_outer_coefficient(self, capsys, coeff):
+        code, out, err = run(capsys, "globalize", "--algebra", "sw22",
+                             "--oracle", "honest:ad(L[1]) + %s*D" % coeff)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError (position 12):")
+
     def test_kind_outside_family(self, capsys):
         code, out, _ = run(capsys, "bracket", "--json", "--algebra", "svir0",
                            "Q[0]", "L[0]")

@@ -143,9 +143,12 @@ class TestParseDerivation:
         assert parse_derivation("ad(L[1]) - 1/2*D", SW22) \
             == SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1)), F(-1, 2))
         assert parse_derivation("ad(L[1]) + D", SW22).outer_lambda == 1
+        assert parse_derivation("ad(L[1]) + 3*D", SW22) \
+            == SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1)), F(3))
 
     @pytest.mark.parametrize("src, lam", [
         ("D", 1), ("-D", -1), ("3*D", 3), ("-5/2*D", F(-5, 2)),
+        ("-3/2*D", F(-3, 2)),
     ])
     def test_bare_outer(self, src, lam):
         assert parse_derivation(src, SW22) \
@@ -173,6 +176,19 @@ class TestParseDerivation:
     def test_malformed_derivations(self, src):
         with pytest.raises(ParseError):
             parse_derivation(src, SW22)
+
+    @pytest.mark.parametrize("src, position", [
+        ("ad(L[1]) + 1.5*D", 12),     # decimal point
+        ("ad(L[1]) + 1e2*D", 12),     # exponent
+        ("ad(L[1]) + 3/0*D", 13),     # zero denominator
+        ("1.5*D", 1),
+        ("1e2*D", 1),
+        ("3/0*D", 2),
+    ])
+    def test_outer_coefficient_follows_rational_grammar(self, src, position):
+        with pytest.raises(ParseError) as exc:
+            parse_derivation(src, SW22)
+        assert exc.value.position == position
 
 
 class TestFormatDerivation:

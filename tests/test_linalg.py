@@ -7,6 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from superder.algebra import AlgebraFamily
+from superder.annihilator import GradedWindow, evaluation_matrix
+from superder.expr import parse_element
 from superder.linalg import LabeledMatrix, kernel_basis, matvec, rank
 
 from helpers import dense_nullspace, dense_rank, labeled_dense
@@ -94,6 +97,17 @@ class TestRank:
         assert rank(m) + len(kernel_basis(m)) == 3
 
 
+def assert_matches_dense(m):
+    """Kernel, its dict key order, and rank agree with the dense helpers."""
+    ncols = len(m.col_labels)
+    expected = [{m.col_labels[j]: v for j, v in enumerate(row) if v}
+                for row in dense_nullspace(labeled_dense(m), ncols)]
+    got = kernel_basis(m)
+    assert list(got) == expected
+    assert [list(vec) for vec in got] == [list(vec) for vec in expected]
+    assert rank(m) == dense_rank(labeled_dense(m))
+
+
 def _index_labeled(draw_entries, nrows, ncols):
     entries = {k: v for k, v in draw_entries.items()
                if k[0] < nrows and k[1] < ncols and v}
@@ -127,11 +141,7 @@ class TestProperties:
 
     @given(sparse_matrices)
     def test_matches_dense_elimination(self, m):
-        ncols = len(m.col_labels)
-        ours = [[vec.get(c, F(0)) for c in m.col_labels]
-                for vec in kernel_basis(m)]
-        assert ours == dense_nullspace(labeled_dense(m), ncols)
-        assert rank(m) == dense_rank(labeled_dense(m))
+        assert_matches_dense(m)
 
     def test_forty_by_forty_random(self):
         rng = random.Random(406)
@@ -146,3 +156,42 @@ class TestProperties:
         assert rank(m) == dense_rank(labeled_dense(m))
         for vec in vecs:
             assert matvec(m, vec) == {}
+
+
+@st.composite
+def shaped_sparse_matrices(draw):
+    """Tall, wide and empty shapes with zero rows, all-zero columns and
+    duplicate rows."""
+    nrows = draw(st.integers(0, 10), label="nrows")
+    ncols = draw(st.integers(0, 10), label="ncols")
+    if not nrows or not ncols:
+        return LabeledMatrix(tuple(range(nrows)), tuple(range(ncols)), {})
+    zero_cols = draw(st.sets(st.integers(0, ncols - 1), max_size=ncols),
+                     label="zero_cols")
+    cells = draw(st.dictionaries(
+        st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1)),
+        st.sampled_from([F(n, d) for n in range(-6, 7) if n
+                         for d in (1, 2, 5, 7)]),
+        max_size=3 * ncols), label="cells")
+    entries = {k: v for k, v in cells.items() if k[1] not in zero_cols}
+    copies = draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                     st.integers(0, nrows - 1)),
+                           max_size=3), label="duplicate_rows")
+    for src, dst in copies:
+        row = {c: v for (r, c), v in entries.items() if r == src}
+        entries = {k: v for k, v in entries.items() if k[0] != dst}
+        entries.update({(dst, c): v for c, v in row.items()})
+    return LabeledMatrix(tuple(range(nrows)), tuple(range(ncols)), entries)
+
+
+class TestDenseCrossCheck:
+    @given(shaped_sparse_matrices())
+    def test_random_shapes_match_dense_elimination(self, m):
+        assert_matches_dense(m)
+
+    def test_sw22_mixed_target_matches_dense_elimination(self):
+        target = parse_element("L[1] + G[-2] + I[3] + Q[0]", AlgebraFamily.SW22)
+        m = evaluation_matrix(target, GradedWindow(F(16)))
+        assert m.shape == (150, 133)
+        assert_matches_dense(m)
+
