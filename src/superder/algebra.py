@@ -24,7 +24,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 KIND_L = "L"
@@ -149,11 +148,6 @@ class BasisVector:
 
     def __repr__(self):
         return "BasisVector(%s, %s)" % (self.family.value, self.token())
-
-
-def parity(b: BasisVector) -> int:
-    """Parity of a basis vector: 0 (even) or 1 (odd)."""
-    return b.parity
 
 
 class Element:
@@ -294,71 +288,71 @@ _QUARTER = Fraction(1, 4)
 _THIRD = Fraction(1, 3)
 _TWELFTH = Fraction(1, 12)
 
+# The three shapes of the table above.
+_WITT = "witt"      # (m - n) X_{m+n} + delta_{m+n,0} (m^3 - m)/12 * Z
+_MODULE = "module"  # (m/2 - r) X_{m+r}
+_ODD = "odd"        # 2 X_{r+s} + delta_{r+s,0} (r^2 - 1/4)/3 * Z
 
-def _primary_central(family: AlgebraFamily) -> str:
-    return KIND_C1 if family is AlgebraFamily.SW22 else KIND_C
+# Canonically ordered kind pair -> (shape, result kind X, central slot).  The
+# central kind Z is ``family.central_kinds[slot]``: C (C1 in sw22) for slot 0,
+# C2 for slot 1.
+_STRUCTURE = {
+    (KIND_L, KIND_L): (_WITT, KIND_L, 0),
+    (KIND_L, KIND_G): (_MODULE, KIND_G, None),
+    (KIND_G, KIND_G): (_ODD, KIND_L, 0),
+    (KIND_L, KIND_I): (_WITT, KIND_I, 1),
+    (KIND_L, KIND_Q): (_MODULE, KIND_Q, None),
+    (KIND_G, KIND_Q): (_ODD, KIND_I, 1),
+    (KIND_I, KIND_G): (_MODULE, KIND_Q, None),
+}
 
 
-def _table_bracket(family: AlgebraFamily, ku: str, m: Fraction,
-                   kv: str, n: Fraction):
-    """Bracket of a canonically ordered kind pair, or None if unordered."""
-    out = []
-    if ku == KIND_L and kv == KIND_L:
-        if m != n:
-            out.append((BasisVector(family, KIND_L, m + n), m - n))
-        if m + n == 0 and (m ** 3 - m) != 0:
-            out.append((BasisVector(family, _primary_central(family)),
-                        (m ** 3 - m) * _TWELFTH))
-    elif ku == KIND_L and kv == KIND_G:
+def _shape_terms(family: AlgebraFamily, shape: str, kind: str,
+                 slot: Optional[int], m: Fraction, n: Fraction):
+    """The bracket of one table shape at indices (m, n), as (vector, coeff) pairs."""
+    if shape == _MODULE:
         c = m / 2 - n
-        if c != 0:
-            out.append((BasisVector(family, KIND_G, m + n), c))
-    elif ku == KIND_L and kv == KIND_I:
-        if m != n:
-            out.append((BasisVector(family, KIND_I, m + n), m - n))
-        if m + n == 0 and (m ** 3 - m) != 0:
-            out.append((BasisVector(family, KIND_C2), (m ** 3 - m) * _TWELFTH))
-    elif ku == KIND_L and kv == KIND_Q:
-        c = m / 2 - n
-        if c != 0:
-            out.append((BasisVector(family, KIND_Q, m + n), c))
-    elif ku == KIND_G and kv == KIND_G:
-        out.append((BasisVector(family, KIND_L, m + n), Fraction(2)))
-        if m + n == 0 and m ** 2 != _QUARTER:
-            out.append((BasisVector(family, _primary_central(family)),
-                        (m ** 2 - _QUARTER) * _THIRD))
-    elif ku == KIND_G and kv == KIND_Q:
-        out.append((BasisVector(family, KIND_I, m + n), Fraction(2)))
-        if m + n == 0 and m ** 2 != _QUARTER:
-            out.append((BasisVector(family, KIND_C2), (m ** 2 - _QUARTER) * _THIRD))
-    elif ku == KIND_I and kv == KIND_G:
-        c = m / 2 - n
-        if c != 0:
-            out.append((BasisVector(family, KIND_Q, m + n), c))
+        return ((BasisVector(family, kind, m + n), c),) if c else ()
+    if shape == _WITT:
+        lead, central = m - n, (m ** 3 - m) * _TWELFTH
     else:
-        return None
+        lead, central = Fraction(2), (m ** 2 - _QUARTER) * _THIRD
+    out = []
+    if lead:
+        out.append((BasisVector(family, kind, m + n), lead))
+    if m + n == 0 and central:
+        out.append((BasisVector(family, family.central_kinds[slot]), central))
     return tuple(out)
-
-
-_LISTED_PAIRS = frozenset((
-    (KIND_L, KIND_L), (KIND_L, KIND_G), (KIND_L, KIND_I), (KIND_L, KIND_Q),
-    (KIND_G, KIND_G), (KIND_G, KIND_Q), (KIND_I, KIND_G),
-))
 
 
 @lru_cache(maxsize=None)
 def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, Fraction], ...]:
     """Bracket of two basis vectors of one family, as (vector, coeff) pairs."""
-    if u.is_central or v.is_central:
-        return ()
-    if (u.kind, v.kind) in _LISTED_PAIRS:
-        return _table_bracket(u.family, u.kind, u.index, v.kind, v.index)
-    if (v.kind, u.kind) in _LISTED_PAIRS:
+    entry = _STRUCTURE.get((u.kind, v.kind))
+    if entry is not None:
+        return _shape_terms(u.family, *entry, u.index, v.index)
+    entry = _STRUCTURE.get((v.kind, u.kind))
+    if entry is not None:
         # Super anti-symmetry: [u, v] = -(-1)^{|u||v|} [v, u].
-        swapped = _table_bracket(u.family, v.kind, v.index, u.kind, u.index)
         sign = 1 if (u.parity and v.parity) else -1
-        return tuple((w, sign * c) for w, c in swapped)
+        return tuple((w, sign * c)
+                     for w, c in _shape_terms(u.family, *entry, v.index, u.index))
     return ()
+
+
+def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
+                       ys: Iterable[Tuple[BasisVector, Scalar]]) -> dict:
+    """Add the bracket of two (basis vector, coefficient) sequences into acc.
+
+    ``ys`` is traversed once per member of ``xs``, so it must be re-iterable.
+    Zero sums stay in ``acc``; returns ``acc``.
+    """
+    for u, cu in xs:
+        for v, cv in ys:
+            cuv = cu * cv
+            for w, c in bracket_terms(u, v):
+                acc[w] = acc.get(w, 0) + cuv * c
+    return acc
 
 
 def bracket(x: Element, y: Element) -> Element:
@@ -367,10 +361,4 @@ def bracket(x: Element, y: Element) -> Element:
         raise FamilyMismatchError(
             "cannot bracket elements of families %r and %r"
             % (x.family.value, y.family.value))
-    acc: dict = {}
-    for u, cu in x.terms.items():
-        for v, cv in y.terms.items():
-            cuv = cu * cv
-            for w, c in bracket_terms(u, v):
-                acc[w] = acc.get(w, Fraction(0)) + cuv * c
-    return Element(x.family, acc)
+    return Element(x.family, accumulate_bracket({}, x.terms.items(), y.terms.items()))

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
     KIND_G,
     AlgebraFamily,
     BasisVector,
     Element,
-    Scalar,
     bracket,
 )
 from .derivations import SuperDerivation, outer_action
@@ -75,6 +74,18 @@ class GradedWindow:
         return tuple(out)
 
 
+def image_matrix(images: Dict[Hashable, Element]) -> LabeledMatrix:
+    """Matrix whose column ``tag`` holds the coordinates of ``images[tag]``.
+
+    Columns follow the dict order; rows are the basis vectors that appear in
+    the images, in canonical order.
+    """
+    row_set = {b for img in images.values() for b in img.terms}
+    rows = tuple(sorted(row_set, key=lambda b: b.sort_key()))
+    entries = {(b, tag): c for tag, img in images.items() for b, c in img.terms.items()}
+    return LabeledMatrix(rows, tuple(images), entries)
+
+
 def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
     """Matrix of the map (derivation coefficients) -> (value on the target).
 
@@ -85,18 +96,11 @@ def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
     family = target.family
-    cols: List = list(window.generators(family))
-    images: Dict = {bv: bracket(Element.basis(bv), target) for bv in cols}
+    images: Dict = {bv: bracket(Element.basis(bv), target)
+                    for bv in window.generators(family)}
     if family is AlgebraFamily.SW22:
-        cols.append(OUTER_TAG)
         images[OUTER_TAG] = outer_action(target)
-    row_set = {b for img in images.values() for b in img.terms}
-    rows = tuple(sorted(row_set, key=lambda b: b.sort_key()))
-    entries = {}
-    for tag, img in images.items():
-        for b, c in img.terms.items():
-            entries[(b, tag)] = c
-    return LabeledMatrix(rows, tuple(cols), entries)
+    return image_matrix(images)
 
 
 @dataclass(frozen=True)

@@ -22,19 +22,13 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .algebra import (
-    AlgebraFamily,
-    FamilyMismatchError,
-    IndexNotInSectorError,
-    KindNotInFamilyError,
-    bracket,
-)
-from .annihilator import GradedWindow, ZeroTargetError, annihilator_basis
+from .algebra import AlgebraFamily, bracket
+from .annihilator import GradedWindow, annihilator_basis
 from .derivations import leibniz_defect
 from .expr import (
-    ParseError,
     format_derivation,
     format_element,
+    fraction_json,
     parse_derivation,
     parse_element,
 )
@@ -43,18 +37,13 @@ from .two_local import (
     ADVERSARIAL_KINDS,
     OracleDefectError,
     TestSet,
-    UnsupportedFamilyError,
     globalize,
     make_adversarial_oracle,
     make_honest_oracle,
 )
 
 ENV_SEED = "SUPERDER_SEED"
-ALGEBRA_TAGS = ("vir", "svir0", "svir12", "sw22")
-
-
-def _frac_json(value: Fraction):
-    return int(value) if value.denominator == 1 else str(value)
+ALGEBRA_TAGS = tuple(family.value for family in AlgebraFamily)
 
 
 def _load_config(path: Optional[str]) -> dict:
@@ -112,7 +101,7 @@ def _cmd_jacobi(args, family: AlgebraFamily, config: dict) -> int:
     bound = _resolve_bound(args, config, Fraction(3))
     violations, triples = jacobi_sweep(family, bound)
     verdict = "pass" if violations == 0 else "fail"
-    _emit({"algebra": family.value, "bound": _frac_json(bound),
+    _emit({"algebra": family.value, "bound": fraction_json(bound),
            "triples": triples, "violations": violations, "verdict": verdict},
           args.as_json, "%d violations / %d triples" % (violations, triples))
     return 0 if violations == 0 else 1
@@ -141,7 +130,7 @@ def _cmd_annihilate(args, family: AlgebraFamily, config: dict) -> int:
     space = annihilator_basis(target, GradedWindow(bound))
     rendered = [format_derivation(b) for b in space.basis]
     _emit({"algebra": family.value, "target": format_element(target),
-           "bound": _frac_json(bound), "dimension": space.dimension,
+           "bound": fraction_json(bound), "dimension": space.dimension,
            "basis": rendered},
           args.as_json, "\n".join(["dimension %d" % space.dimension, *rendered]))
     return 0
@@ -276,17 +265,9 @@ def run_command(argv=None) -> int:
     except OracleDefectError as exc:
         _print_error(exc, as_json)
         return 1
-    except ParseError as exc:
-        _print_error(exc, as_json, exc.position)
-        return 2
-    except (KindNotInFamilyError, IndexNotInSectorError) as exc:
-        _print_error(exc, as_json, getattr(exc, "position", None))
-        return 2
-    except (UnsupportedFamilyError, ZeroTargetError, FamilyMismatchError) as exc:
-        _print_error(exc, as_json)
-        return 2
     except (ValueError, OSError) as exc:
-        _print_error(exc, as_json)
+        # Parse, kind and sector errors carry the offending input position.
+        _print_error(exc, as_json, getattr(exc, "position", None))
         return 2
 
 

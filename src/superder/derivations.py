@@ -26,7 +26,6 @@ from .algebra import (
     BasisVector,
     Element,
     FamilyMismatchError,
-    Scalar,
     bracket,
     parity_decompose,
 )
@@ -146,11 +145,6 @@ class RawLinearMap:
 
 
 MapLike = Union[SuperDerivation, RawLinearMap]
-
-
-def apply(d: SuperDerivation, x: Element) -> Element:
-    """Value of a superderivation on an element."""
-    return d.apply(x)
 
 
 def evaluate(m: MapLike, x: Element) -> Element:

@@ -26,7 +26,6 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .algebra import (
-    CENTRAL_KINDS,
     KIND_C,
     KIND_C1,
     KIND_C2,
@@ -165,30 +164,35 @@ def _parse_term(s: _Scanner, family: AlgebraFamily) -> Tuple[BasisVector, Fracti
     return _parse_gen(s, family), coeff
 
 
-def parse_element(src: str, family: AlgebraFamily) -> Element:
-    """Parse the element grammar into canonical form."""
-    if src.strip() == "0":
-        return Element.zero(family)
-    s = _Scanner(src)
-    if s.at_end():
-        raise ParseError("empty input", 0)
+def _parse_expr(s: _Scanner, family: AlgebraFamily, closer: str = "") -> Element:
+    """``'0'`` or ``expr``, up to the end of the input or the closer."""
+    start = s.pos
+
+    def done() -> bool:
+        return s.at_end() or s.peek() == closer
+
+    if done():
+        raise ParseError("empty input", start)
+    if s.peek() == "0":
+        s.take()
+        if done():
+            return Element.zero(family)
+        s.pos = start
     terms = []
-    sign = 1
-    if s.peek() == "-":
-        s.take()
-        sign = -1
-    elif s.peek() == "+":
-        s.take()
-    bv, c = _parse_term(s, family)
-    terms.append((bv, sign * c))
-    while not s.at_end():
-        op = s.peek()
-        if op not in ("+", "-"):
-            raise ParseError("expected '+' or '-', found %r" % op, s.pos)
-        s.take()
+    op = s.take() if s.peek() in ("+", "-") else "+"
+    while True:
         bv, c = _parse_term(s, family)
         terms.append((bv, c if op == "+" else -c))
-    return Element(family, terms)
+        if done():
+            return Element(family, terms)
+        op = s.take()
+        if op not in ("+", "-"):
+            raise ParseError("expected '+' or '-', found %r" % op, s.pos - 1)
+
+
+def parse_element(src: str, family: AlgebraFamily) -> Element:
+    """Parse the element grammar into canonical form."""
+    return _parse_expr(_Scanner(src), family)
 
 
 def format_element(e: Element) -> str:
@@ -204,6 +208,11 @@ def format_element(e: Element) -> str:
         else:
             parts.append(("- " if c < 0 else "+ ") + core)
     return " ".join(parts)
+
+
+def fraction_json(value: Fraction):
+    """A rational as a JSON value: an int when integral, else its string."""
+    return int(value) if value.denominator == 1 else str(value)
 
 
 def format_derivation(d: SuperDerivation) -> str:
@@ -238,18 +247,18 @@ def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction
 
 def parse_derivation(src: str, family: AlgebraFamily) -> SuperDerivation:
     """Parse "ad(expr)", "ad(expr) +- q*D", "q*D", "D" or "0"."""
-    text = src.strip()
-    if text == "0":
+    if src.strip() == "0":
         return SuperDerivation.zero(family)
-    s = _Scanner(text)
+    s = _Scanner(src)
     inner = Element.zero(family)
     sign = 1
-    if text.startswith("ad("):
-        close = text.find(")")
-        if close < 0:
-            raise ParseError("unclosed 'ad('", len(text))
-        inner = parse_element(text[3:close], family)
-        s.pos = close + 1
+    s.skip_ws()
+    if src.startswith("ad(", s.pos):
+        s.pos += 3
+        inner = _parse_expr(s, family, ")")
+        if s.at_end():
+            raise ParseError("unclosed 'ad('", s.pos)
+        s.take()
         if s.at_end():
             return SuperDerivation(family, inner)
         if s.peek() not in ("+", "-"):

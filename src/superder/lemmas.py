@@ -11,7 +11,7 @@ each with an exact predicted basis or dimension.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Tuple
 
 from .algebra import (
     KIND_G,
@@ -21,22 +21,12 @@ from .algebra import (
     AlgebraFamily,
     BasisVector,
     Element,
+    accumulate_bracket,
     bracket_terms,
 )
 from .annihilator import GradedWindow, annihilator_basis
 from .derivations import SuperDerivation, leibniz_defect
-
-
-def _clean(acc: dict) -> dict:
-    return {k: v for k, v in acc.items() if v}
-
-
-def _ad_terms(u: BasisVector, terms: dict) -> dict:
-    acc: dict = {}
-    for b, c in terms.items():
-        for w, cw in bracket_terms(u, b):
-            acc[w] = acc.get(w, Fraction(0)) + c * cw
-    return acc
+from .expr import fraction_json
 
 
 def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
@@ -47,10 +37,11 @@ def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     for u in vecs:
         for v in vecs:
             pairs += 1
-            sign = 1 if (u.parity and v.parity) else -1
-            lhs = _clean(dict(bracket_terms(u, v)))
-            rhs = _clean({w: sign * c for w, c in bracket_terms(v, u)})
-            if lhs != rhs:
+            # [u,v] + (-1)^{|u||v|} [v,u] must vanish.
+            sign = -1 if (u.parity and v.parity) else 1
+            acc = accumulate_bracket({}, ((u, 1),), ((v, 1),))
+            accumulate_bracket(acc, ((v, sign),), ((u, 1),))
+            if any(acc.values()):
                 violations += 1
     return violations, pairs
 
@@ -58,25 +49,24 @@ def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
 def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of the graded Jacobi identity over basis triples.
 
-    Uses the ad-Leibniz form [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|} [v,[u,w]].
+    Uses the ad-Leibniz form [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|} [v,[u,w]],
+    accumulating the difference of the two sides into one dict.
     """
     vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
     violations = 0
     triples = 0
     for u in vecs:
+        u_one = ((u, 1),)
         for v in vecs:
-            sign = -1 if (u.parity and v.parity) else 1
+            # v with the coefficient -(-1)^{|u||v|} of its term below.
+            v_signed = ((v, 1 if (u.parity and v.parity) else -1),)
             uv = bracket_terms(u, v)
             for w in vecs:
                 triples += 1
-                lhs = _ad_terms(u, dict(bracket_terms(v, w)))
-                rhs: dict = {}
-                for z, c in uv:
-                    for z2, c2 in bracket_terms(z, w):
-                        rhs[z2] = rhs.get(z2, Fraction(0)) + c * c2
-                for z2, c2 in _ad_terms(v, dict(bracket_terms(u, w))).items():
-                    rhs[z2] = rhs.get(z2, Fraction(0)) + sign * c2
-                if _clean(lhs) != _clean(rhs):
+                acc = accumulate_bracket({}, u_one, bracket_terms(v, w))
+                accumulate_bracket(acc, uv, ((w, -1),))
+                accumulate_bracket(acc, v_signed, bracket_terms(u, w))
+                if any(acc.values()):
                     violations += 1
     return violations, triples
 
@@ -100,10 +90,6 @@ def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
 # -- named suites ---------------------------------------------------------------
 
 
-def _index_json(i: Fraction):
-    return int(i) if i.denominator == 1 else str(i)
-
-
 def _odd_generator_annihilators() -> dict:
     """Annihilator of one odd generator G_i is spanned by ad(L_{2i}) alone,
     in both super Virasoro sectors."""
@@ -120,7 +106,7 @@ def _odd_generator_annihilators() -> dict:
             expected = SuperDerivation.ad(
                 Element.basis(BasisVector(family, KIND_L, 2 * i)))
             ok = space.dimension == 1 and space.basis == (expected,)
-            cases.append({"i": _index_json(i), "dim": space.dimension,
+            cases.append({"i": fraction_json(i), "dim": space.dimension,
                           "pass": ok, "family": family.value})
     return {"name": "lemma3.3", "cases": cases,
             "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
@@ -141,7 +127,7 @@ def _sw22_odd_generator_annihilators() -> dict:
             SuperDerivation(family, Element.zero(family), Fraction(1)),
         )
         ok = space.dimension == 3 and space.basis == expected
-        cases.append({"r": _index_json(r), "dim": space.dimension, "pass": ok})
+        cases.append({"r": fraction_json(r), "dim": space.dimension, "pass": ok})
     return {"name": "lemma4.4i", "cases": cases,
             "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
 
@@ -189,7 +175,7 @@ def _mixed_element_annihilators() -> dict:
             SuperDerivation.ad(Element.basis(BasisVector(family, KIND_I, p))),
         )
         ok = space.dimension == 2 and space.basis == expected
-        cases.append({"p": _index_json(p), "dim": space.dimension, "pass": ok})
+        cases.append({"p": fraction_json(p), "dim": space.dimension, "pass": ok})
     return {"name": "lemma4.7", "cases": cases,
             "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
 

@@ -23,7 +23,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import (
     KIND_G,
@@ -34,7 +34,7 @@ from .algebra import (
     BasisVector,
     Element,
 )
-from .annihilator import GradedWindow, annihilator_basis
+from .annihilator import GradedWindow, annihilator_basis, image_matrix
 from .derivations import (
     MapLike,
     RawLinearMap,
@@ -43,7 +43,7 @@ from .derivations import (
     outer_action,
 )
 from .expr import format_element
-from .linalg import LabeledMatrix, kernel_basis
+from .linalg import kernel_basis
 
 
 class UnsupportedFamilyError(ValueError):
@@ -288,16 +288,9 @@ def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
     base = annihilator_basis(x, window).basis
     if not base:
         return ()
-    images = [d.apply(y) for d in base]
-    row_set = {b for img in images for b in img.terms}
-    if not row_set:
+    m = image_matrix({j: d.apply(y) for j, d in enumerate(base)})
+    if not m.row_labels:
         return base
-    rows = tuple(sorted(row_set, key=lambda b: b.sort_key()))
-    entries = {}
-    for j, img in enumerate(images):
-        for b, c in img.terms.items():
-            entries[(b, j)] = c
-    m = LabeledMatrix(rows, tuple(range(len(base))), entries)
     out = []
     for vec in kernel_basis(m):
         d = SuperDerivation.zero(family)
@@ -339,9 +332,6 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
 
 
 # -- adversarial oracles ------------------------------------------------------------
-
-ADVERSARIAL_KINDS = ("coefficient_square", "shift_map", "pairwise_inconsistent")
-
 
 def _coefficient_square_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """Underlying assignment squares every coefficient, so it is not linear.
@@ -402,6 +392,15 @@ def _pairwise_inconsistent_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     return TwoLocalOracle(family, query)
 
 
+_ADVERSARIAL_ORACLES = {
+    "coefficient_square": _coefficient_square_oracle,
+    "shift_map": _shift_map_oracle,
+    "pairwise_inconsistent": _pairwise_inconsistent_oracle,
+}
+
+ADVERSARIAL_KINDS = tuple(_ADVERSARIAL_ORACLES)
+
+
 def make_adversarial_oracle(kind: str, family: AlgebraFamily) -> TwoLocalOracle:
     """A dishonest oracle of the named kind.
 
@@ -409,14 +408,12 @@ def make_adversarial_oracle(kind: str, family: AlgebraFamily) -> TwoLocalOracle:
     so the dishonesty surfaces as a failed certificate with a witness rather
     than as an OracleDefectError.
     """
-    if kind == "coefficient_square":
-        return _coefficient_square_oracle(family)
-    if kind == "shift_map":
-        return _shift_map_oracle(family)
-    if kind == "pairwise_inconsistent":
-        return _pairwise_inconsistent_oracle(family)
-    raise ValueError("unknown adversarial oracle kind %r (expected one of %s)"
-                     % (kind, ", ".join(ADVERSARIAL_KINDS)))
+    try:
+        factory = _ADVERSARIAL_ORACLES[kind]
+    except KeyError:
+        raise ValueError("unknown adversarial oracle kind %r (expected one of %s)"
+                         % (kind, ", ".join(ADVERSARIAL_KINDS))) from None
+    return factory(family)
 
 
 # -- homogeneity --------------------------------------------------------------------

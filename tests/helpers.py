@@ -1,12 +1,18 @@
-"""Independent dense elimination used to cross-check the package solver.
+"""Independent re-derivations used to cross-check the package.
 
-The package eliminates fraction-free over primitive integer rows; these
-helpers are a deliberately different textbook Gauss-Jordan over Fractions
-with pivot division.  Agreement between the two on kernels, ranks, and row
-spans is what the cross-check tests assert.
+The package eliminates fraction-free over primitive integer rows; the dense
+helpers here are a deliberately different textbook Gauss-Jordan over
+Fractions with pivot division.  Agreement between the two on kernels, ranks,
+and row spans is what the cross-check tests assert.
+
+``reference_bracket`` transcribes the seven bracket formulas of the README,
+one branch per formula, plus graded anti-symmetry for reversed orders; the
+package evaluates the same constants from a table of three shapes.
 """
 
 from fractions import Fraction
+
+from superder import AlgebraFamily, BasisVector
 
 
 def dense_rref(rows):
@@ -66,3 +72,46 @@ def labeled_dense(m):
     """Dense rows of a LabeledMatrix, reading only its raw entry data."""
     return [[m.entries.get((r, c), Fraction(0)) for c in m.col_labels]
             for r in m.row_labels]
+
+
+def _listed_bracket(u, v):
+    """[u, v] for the seven listed kind orders, as (kind, index, coeff)
+    triples (index None for a central charge), or None for any other order."""
+    primary = "C1" if u.family is AlgebraFamily.SW22 else "C"
+    m, n = u.index, v.index
+    delta = m + n == 0
+    d = (m ** 3 - m) / 12 if delta else 0     # d(m), times the delta
+    e = (m ** 2 - Fraction(1, 4)) / 3 if delta else 0   # e(r), times the delta
+    pair = (u.kind, v.kind)
+    if pair == ("L", "L"):
+        return [("L", m + n, m - n), (primary, None, d)]
+    if pair == ("L", "G"):
+        return [("G", m + n, m / 2 - n)]
+    if pair == ("G", "G"):
+        return [("L", m + n, 2), (primary, None, e)]
+    if pair == ("L", "I"):
+        return [("I", m + n, m - n), ("C2", None, d)]
+    if pair == ("L", "Q"):
+        return [("Q", m + n, m / 2 - n)]
+    if pair == ("G", "Q"):
+        return [("I", m + n, 2), ("C2", None, e)]
+    if pair == ("I", "G"):
+        return [("Q", m + n, m / 2 - n)]
+    return None
+
+
+def reference_bracket(u, v):
+    """[u, v] of two basis vectors as {basis vector: nonzero Fraction}."""
+    sign = 1
+    triples = _listed_bracket(u, v)
+    if triples is None:
+        triples = _listed_bracket(v, u) or []
+        # [u, v] = -(-1)^{|u||v|} [v, u], with G and Q the odd kinds.
+        both_odd = u.kind in ("G", "Q") and v.kind in ("G", "Q")
+        sign = 1 if both_odd else -1
+    out = {}
+    for kind, index, coeff in triples:
+        if coeff:
+            w = BasisVector(u.family, kind, 0 if index is None else index)
+            out[w] = Fraction(sign * coeff)
+    return out

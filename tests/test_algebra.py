@@ -1,5 +1,6 @@
 """Structure constants, canonical elements, and graded bracket laws."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,15 +12,19 @@ from superder import (
     BasisVector,
     Element,
     FamilyMismatchError,
+    GradedWindow,
     IndexNotInSectorError,
     KindNotInFamilyError,
+    antisymmetry_sweep,
     bracket,
     bracket_terms,
+    jacobi_sweep,
     parity_decompose,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 
 import strategies as sg
+from helpers import reference_bracket
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -168,6 +173,12 @@ class TestBracketLaws:
                 rhs = sign * bracket(Element.basis(v), Element.basis(u))
                 assert lhs == rhs, (u, v)
 
+    def test_whole_table_matches_reference(self, family):
+        vecs = GradedWindow(F(3)).basis_vectors(family)
+        for u in vecs:
+            for v in vecs:
+                assert dict(bracket_terms(u, v)) == reference_bracket(u, v), (u, v)
+
     def test_grading_of_bracket_terms(self, family):
         vecs = [bv(family, k, i) for k in family.noncentral_kinds
                 for i in sg.index_values(family, k, 4)]
@@ -203,3 +214,34 @@ class TestBracketProperties:
         assert bracket(k * x, y) == k * bracket(x, y)
         assert bracket(x, k * y) == k * bracket(x, y)
         assert bracket(x + z, y) == bracket(x, y) + bracket(z, y)
+
+
+def _double_bracket(monkeypatch, pairs):
+    """Rebind bracket_terms in every superder module so that the given
+    ordered basis pairs bracket to twice their true value."""
+    original = bracket_terms
+
+    def doubled(u, v):
+        terms = original(u, v)
+        return tuple((w, 2 * c) for w, c in terms) if (u, v) in pairs else terms
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "superder" \
+                and getattr(module, "bracket_terms", None) is original:
+            monkeypatch.setattr(module, "bracket_terms", doubled)
+
+
+class TestSweepsDetectViolations:
+    L1 = bv(SVIR0, KIND_L, 1)
+    G0 = bv(SVIR0, KIND_G, 0)
+
+    def test_one_sided_change_breaks_antisymmetry(self, monkeypatch):
+        _double_bracket(monkeypatch, {(self.L1, self.G0)})
+        assert antisymmetry_sweep(SVIR0, 2) == (2, 121)
+
+    def test_two_sided_change_breaks_only_jacobi(self, monkeypatch):
+        _double_bracket(monkeypatch, {(self.L1, self.G0), (self.G0, self.L1)})
+        assert antisymmetry_sweep(SVIR0, 2) == (0, 121)
+        violations, triples = jacobi_sweep(SVIR0, 2)
+        assert triples == 1331
+        assert violations == 72

@@ -194,6 +194,14 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error: ParseError (position 12):")
 
+    def test_position_inside_ad_indexes_the_argument(self, capsys):
+        code, out, _ = run(capsys, "defect", "--json", "--algebra", "sw22",
+                           "ad(L[1/3])", "L[0]", "G[0]")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["type"] == "ParseError"
+        assert payload["error"]["position"] == 6
+
     def test_kind_outside_family(self, capsys):
         code, out, _ = run(capsys, "bracket", "--json", "--algebra", "svir0",
                            "Q[0]", "L[0]")

@@ -191,6 +191,23 @@ class TestParseDerivation:
         assert exc.value.position == position
 
 
+    @pytest.mark.parametrize("src, position", [
+        ("ad(L[1/3])", 6),            # bad index denominator inside ad(...)
+        ("ad(X[1])", 3),              # unknown generator inside ad(...)
+        ("  ad(L[1]) + 1.5*D", 14),   # leading whitespace is not stripped away
+    ])
+    def test_positions_index_the_whole_input(self, src, position):
+        with pytest.raises(ParseError) as exc:
+            parse_derivation(src, SW22)
+        assert exc.value.position == position
+        assert "(at position %d)" % position in str(exc.value)
+
+    def test_kind_position_inside_ad(self):
+        with pytest.raises(KindNotInFamilyError) as exc:
+            parse_derivation("ad(L[0] + Q[2])", SVIR0)
+        assert exc.value.position == 10
+
+
 class TestFormatDerivation:
     def test_examples(self):
         assert format_derivation(SuperDerivation.ad(
