@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -196,15 +197,8 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coeff(self, bv: BasisVector) -> Fraction:
-        return self.terms.get(bv, Fraction(0))
-
     def support(self) -> Tuple[BasisVector, ...]:
         return tuple(self.terms)
-
-    def key(self):
-        """Hashable canonical key, suitable for caching."""
-        return self._key
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -218,19 +212,14 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_family(other)
-        acc = dict(self.terms)
-        for bv, c in other.terms.items():
-            acc[bv] = acc.get(bv, Fraction(0)) + c
-        return Element(self.family, acc)
+        return Element(self.family, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
         self._require_same_family(other)
-        acc = dict(self.terms)
-        for bv, c in other.terms.items():
-            acc[bv] = acc.get(bv, Fraction(0)) - c
-        return Element(self.family, acc)
+        return Element(self.family, chain(self.terms.items(),
+                                          ((b, -c) for b, c in other.terms.items())))
 
     def __neg__(self) -> "Element":
         return Element(self.family, ((b, -c) for b, c in self.terms.items()))

@@ -64,14 +64,10 @@ class GradedWindow:
                 out.append(BasisVector(family, kind, idx))
         return tuple(out)
 
-    def basis_vectors(self, family: AlgebraFamily,
-                      include_central: bool = True) -> Tuple[BasisVector, ...]:
+    def basis_vectors(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
         """All basis vectors inside the window, central charges last."""
-        out = list(self.generators(family))
-        if include_central:
-            for kind in family.central_kinds:
-                out.append(BasisVector(family, kind))
-        return tuple(out)
+        return self.generators(family) + tuple(BasisVector(family, kind)
+                                               for kind in family.central_kinds)
 
 
 def image_matrix(images: Dict[Hashable, Element]) -> LabeledMatrix:
@@ -120,17 +116,17 @@ class DerivationSpace:
         return span_contains(self.basis, d, self.window)
 
 
-_ANNIHILATOR_CACHE: Dict[tuple, DerivationSpace] = {}
+_ANNIHILATOR_CACHE: Dict[Tuple[Element, GradedWindow], DerivationSpace] = {}
 
 
 def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     """Canonical basis of the derivations supported in the window that kill the target.
 
     The basis comes from the canonical kernel of the evaluation matrix, so it
-    is deterministic; every member satisfies apply(d, target) == 0 exactly.
-    Results are memoised on (family, target, window).
+    is deterministic; every member satisfies d.apply(target) == 0 exactly.
+    Results are memoised on (target, window).
     """
-    key = (target.family, target.key(), window)
+    key = (target, window)
     hit = _ANNIHILATOR_CACHE.get(key)
     if hit is not None:
         return hit

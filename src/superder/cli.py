@@ -31,6 +31,7 @@ from .expr import (
     fraction_json,
     parse_derivation,
     parse_element,
+    parse_rational,
 )
 from .lemmas import LEMMA_NAMES, jacobi_sweep, run_lemma
 from .two_local import (
@@ -63,9 +64,9 @@ def _resolve_family(args, config: dict) -> AlgebraFamily:
 
 def _resolve_bound(args, config: dict, fallback: Fraction) -> Fraction:
     if args.bound is not None:
-        return Fraction(args.bound)
+        return parse_rational(args.bound)
     if "bound" in config:
-        return Fraction(str(config["bound"]))
+        return parse_rational(str(config["bound"]))
     return fallback
 
 
@@ -76,7 +77,10 @@ def _resolve_seed(args, config: dict) -> int:
     if env is not None:
         return int(env)
     if "seed" in config:
-        return int(config["seed"])
+        seed = config["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError("config seed must be a JSON integer, got %r" % (seed,))
+        return seed
     return 0
 
 
@@ -121,12 +125,8 @@ def _cmd_defect(args, family: AlgebraFamily, config: dict) -> int:
 
 def _cmd_annihilate(args, family: AlgebraFamily, config: dict) -> int:
     target = parse_element(args.target, family)
-    if args.bound is not None or "bound" in config:
-        bound = _resolve_bound(args, config, Fraction(0))
-    else:
-        largest = max((abs(bv.index) for bv in target.support()),
-                      default=Fraction(0))
-        bound = 2 * largest + 2
+    largest = max((abs(bv.index) for bv in target.support()), default=Fraction(0))
+    bound = _resolve_bound(args, config, 2 * largest + 2)
     space = annihilator_basis(target, GradedWindow(bound))
     rendered = [format_derivation(b) for b in space.basis]
     _emit({"algebra": family.value, "target": format_element(target),
@@ -152,7 +152,7 @@ def _build_oracle(spec: str, family: AlgebraFamily, seed: int,
 def _cmd_globalize(args, family: AlgebraFamily, config: dict) -> int:
     seed = _resolve_seed(args, config)
     bound = _resolve_bound(args, config, Fraction(3))
-    oracle = _build_oracle(args.oracle, family, seed, Fraction(args.mask_bound))
+    oracle = _build_oracle(args.oracle, family, seed, parse_rational(args.mask_bound))
     certificate = globalize(oracle, TestSet(GradedWindow(bound), args.random, seed))
     print(certificate.to_json())
     return 0 if certificate.verdict == "pass" else 1
@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobi", parents=[common],
                        help="sweep the graded Jacobi identity over a window")
-    p.add_argument("--bound", type=Fraction, default=None,
+    p.add_argument("--bound", default=None,
                    help="index window bound (default 3)")
     p.set_defaults(handler=_cmd_jacobi)
 
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("annihilate", parents=[common],
                        help="window annihilator of an element")
     p.add_argument("target")
-    p.add_argument("--bound", type=Fraction, default=None,
+    p.add_argument("--bound", default=None,
                    help="window bound (default: 2*max|index| + 2)")
     p.set_defaults(handler=_cmd_annihilate)
 
@@ -219,13 +219,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", required=True,
                    help="'honest:<derivation>' or 'adversarial:<kind>' with "
                         "kind one of: %s" % ", ".join(ADVERSARIAL_KINDS))
-    p.add_argument("--bound", type=Fraction, default=None,
+    p.add_argument("--bound", default=None,
                    help="test basis window bound (default 3)")
     p.add_argument("--random", type=int, default=20, metavar="N",
                    help="number of seeded random test elements (default 20)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed (default: SUPERDER_SEED, then config, then 0)")
-    p.add_argument("--mask-bound", type=Fraction, default=Fraction(4),
+    p.add_argument("--mask-bound", default="4",
                    dest="mask_bound",
                    help="honest-oracle mask window bound (default 4; 0 disables)")
     p.set_defaults(handler=_cmd_globalize)

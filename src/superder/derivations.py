@@ -6,17 +6,18 @@ of the super W(2,2) algebra.  That outer derivation fixes every I_m, Q_r and
 the central charge C2, and kills L_m, G_r and C1; no other family admits a
 nonzero outer part.
 
-``RawLinearMap`` is an escape hatch: a finite table from basis vectors to
-elements, extended linearly.  It exists so that maps which are not
-superderivations can be fed to ``leibniz_defect`` and used as adversarial
-oracle responses.
+``RawLinearMap`` is a finite table from basis vectors to elements, extended
+linearly.  It exists for maps that are not superderivations: adversarial
+oracle responses and inputs to ``leibniz_defect``.  Both kinds of map are
+evaluated through the same ``apply(x)`` method, and ``leibniz_defect`` reads
+the parity components of either one from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Tuple, Union
+from typing import Dict, Iterable, Tuple, Union
 
 from .algebra import (
     KIND_C2,
@@ -26,6 +27,7 @@ from .algebra import (
     BasisVector,
     Element,
     FamilyMismatchError,
+    accumulate_bracket,
     bracket,
     parity_decompose,
 )
@@ -36,11 +38,9 @@ _OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
 def outer_action(x: Element) -> Element:
     """Action of the distinguished outer derivation on an element.
 
-    Fixes I_m, Q_r and C2 and kills everything else.  For families other
-    than sw22 the result is zero.
+    Fixes I_m, Q_r and C2 and kills everything else.  Only sw22 has those
+    kinds, so for the other families the result is zero.
     """
-    if x.family is not AlgebraFamily.SW22:
-        return Element.zero(x.family)
     return Element(x.family, ((b, c) for b, c in x.terms.items()
                               if b.kind in _OUTER_FIXED_KINDS))
 
@@ -64,9 +64,10 @@ class SuperDerivation:
         lam = Fraction(self.outer_lambda)
         if lam != 0 and self.family is not AlgebraFamily.SW22:
             raise ValueError("only the sw22 family has an outer derivation direction")
-        stripped = Element(self.family, ((b, c) for b, c in self.inner.terms.items()
-                                         if not b.is_central))
-        object.__setattr__(self, "inner", stripped)
+        if any(b.is_central for b in self.inner.terms):
+            stripped = Element(self.family, ((b, c) for b, c in self.inner.terms.items()
+                                             if not b.is_central))
+            object.__setattr__(self, "inner", stripped)
         object.__setattr__(self, "outer_lambda", lam)
 
     @classmethod
@@ -90,29 +91,33 @@ class SuperDerivation:
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):
             return NotImplemented
-        if other.family is not self.family:
-            raise FamilyMismatchError("cannot add derivations of different families")
-        return SuperDerivation(self.family, self.inner + other.inner,
-                               self.outer_lambda + other.outer_lambda)
+        return _combination(self.family, ((1, self), (1, other)))
 
     def __sub__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):
             return NotImplemented
-        if other.family is not self.family:
-            raise FamilyMismatchError("cannot subtract derivations of different families")
-        return SuperDerivation(self.family, self.inner - other.inner,
-                               self.outer_lambda - other.outer_lambda)
+        return _combination(self.family, ((1, self), (-1, other)))
 
     def __mul__(self, scalar) -> "SuperDerivation":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return SuperDerivation(self.family, self.inner * scalar,
-                               self.outer_lambda * scalar)
+        return _combination(self.family, ((scalar, self),))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SuperDerivation":
-        return self * -1
+        return _combination(self.family, ((-1, self),))
+
+
+def _combination(family: AlgebraFamily,
+                 pairs: Iterable[Tuple[Union[int, Fraction], SuperDerivation]]
+                 ) -> SuperDerivation:
+    """The derivation sum of c * d over (coefficient, derivation) pairs."""
+    pairs = tuple(pairs)
+    if any(d.family is not family for _, d in pairs):
+        raise FamilyMismatchError("cannot combine derivations of different families")
+    inner = Element(family, ((b, c * x) for c, d in pairs for b, x in d.inner.terms.items()))
+    return SuperDerivation(family, inner, sum(c * d.outer_lambda for c, d in pairs))
 
 
 @dataclass
@@ -135,61 +140,13 @@ class RawLinearMap:
                 clean[bv] = img
         self.table = clean
 
-    def value(self, x: Element) -> Element:
-        out = Element.zero(self.family)
-        for bv, c in x.terms.items():
-            img = self.table.get(bv)
-            if img is not None:
-                out = out + c * img
-        return out
+    def apply(self, x: Element) -> Element:
+        return Element(self.family, ((b, c * ic) for bv, c in x.terms.items()
+                                     if bv in self.table
+                                     for b, ic in self.table[bv].terms.items()))
 
 
 MapLike = Union[SuperDerivation, RawLinearMap]
-
-
-def evaluate(m: MapLike, x: Element) -> Element:
-    """Value of either a superderivation or a raw linear map on an element."""
-    if isinstance(m, SuperDerivation):
-        return m.apply(x)
-    return m.value(x)
-
-
-def derivation_parity_components(d: SuperDerivation) -> Tuple[SuperDerivation, SuperDerivation]:
-    """Even and odd homogeneous components (in that order).
-
-    The outer direction is even, so it travels with the even component.
-    """
-    inner_even, inner_odd = parity_decompose(d.inner)
-    even = SuperDerivation(d.family, inner_even, d.outer_lambda)
-    odd = SuperDerivation(d.family, inner_odd)
-    return even, odd
-
-
-def _homogeneous_component_maps(m: MapLike) -> List[Tuple[int, Callable[[Element], Element]]]:
-    """The map split into parity-homogeneous linear maps, as (parity, fn)."""
-    if isinstance(m, SuperDerivation):
-        even, odd = derivation_parity_components(m)
-        comps = []
-        if not even.is_zero:
-            comps.append((0, even.apply))
-        if not odd.is_zero:
-            comps.append((1, odd.apply))
-        return comps
-    even_table: Dict[BasisVector, Element] = {}
-    odd_table: Dict[BasisVector, Element] = {}
-    for bv, img in m.table.items():
-        img_even, img_odd = parity_decompose(img)
-        same, flip = (img_even, img_odd) if bv.parity == 0 else (img_odd, img_even)
-        if not same.is_zero:
-            even_table[bv] = same
-        if not flip.is_zero:
-            odd_table[bv] = flip
-    comps = []
-    if even_table:
-        comps.append((0, RawLinearMap(m.family, even_table).value))
-    if odd_table:
-        comps.append((1, RawLinearMap(m.family, odd_table).value))
-    return comps
 
 
 def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
@@ -199,17 +156,24 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
     and x_q of x, of [d_p(x_q), y] + (-1)^{pq} [x_q, d_p(y)].  The result is
     identically zero exactly when d is a superderivation on the span of the
     inputs.
+
+    The parity-p component d_p sends a homogeneous z_r to the parity-(p + r)
+    part of d(z_r), so it is read from ``d.apply`` for any linear map.  The
+    components of d sum to d, so the terms [d_p(x_q), y] sum to [d(x), y].
     """
     family = x.family
     if y.family is not family:
         raise FamilyMismatchError("defect arguments must share one family")
-    total = evaluate(d, bracket(x, y))
-    x_parts = parity_decompose(x)
-    for p, fn in _homogeneous_component_maps(d):
-        dy = fn(y)
-        for q, xq in ((0, x_parts[0]), (1, x_parts[1])):
-            if xq.is_zero:
-                continue
-            sign = -1 if (p and q) else 1
-            total = total - bracket(fn(xq), y) - sign * bracket(xq, dy)
-    return total
+    acc = dict(d.apply(bracket(x, y)).terms)
+    accumulate_bracket(acc, ((b, -c) for b, c in d.apply(x).terms.items()),
+                       y.terms.items())
+    dy = [d.apply(yr) for yr in parity_decompose(y)]
+    for p in (0, 1):
+        # d_p(y) as (vector, coefficient) pairs, summed over the parts y_r.
+        dp_y = [(w, c) for r in (0, 1) for w, c in dy[r].terms.items()
+                if w.parity == (p + r) % 2]
+        # One term of x at a time, so q is the parity of its basis vector.
+        for b, c in x.terms.items():
+            sign = -1 if (p and b.parity) else 1
+            accumulate_bracket(acc, ((b, -sign * c),), dp_y)
+    return Element(family, acc)

@@ -142,19 +142,34 @@ def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
     raise ParseError("expected a generator", s.pos)
 
 
-def _parse_coefficient(s: _Scanner) -> Fraction:
-    """An optional ``rational '*'`` prefix; 1 when absent."""
-    ch = s.peek()
-    if not (ch.isdigit() or ch == "-"):
-        return Fraction(1)
-    coeff = _parse_signed_digits(s)
+def _parse_rational(s: _Scanner) -> Fraction:
+    """``rational := ['-'] digits ['/' digits]``, with a nonzero denominator."""
+    value = _parse_signed_digits(s)
     if s.peek() == "/":
         s.take()
         den_pos = s.pos
         den = int(s.digits())
         if den == 0:
             raise ParseError("zero denominator", den_pos)
-        coeff = coeff / den
+        value = value / den
+    return value
+
+
+def parse_rational(src: str) -> Fraction:
+    """Parse the whole of ``src`` by the grammar's ``rational`` rule."""
+    s = _Scanner(src)
+    value = _parse_rational(s)
+    if not s.at_end():
+        raise ParseError("unexpected %r after the number" % s.peek(), s.pos)
+    return value
+
+
+def _parse_coefficient(s: _Scanner) -> Fraction:
+    """An optional ``rational '*'`` prefix; 1 when absent."""
+    ch = s.peek()
+    if not (ch.isdigit() or ch == "-"):
+        return Fraction(1)
+    coeff = _parse_rational(s)
     s.expect("*")
     return coeff
 

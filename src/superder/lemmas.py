@@ -11,7 +11,7 @@ each with an exact predicted basis or dimension.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Tuple
+from typing import List, Tuple
 
 from .algebra import (
     KIND_G,
@@ -90,7 +90,7 @@ def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
 # -- named suites ---------------------------------------------------------------
 
 
-def _odd_generator_annihilators() -> dict:
+def _odd_generator_annihilators() -> List[dict]:
     """Annihilator of one odd generator G_i is spanned by ad(L_{2i}) alone,
     in both super Virasoro sectors."""
     cases = []
@@ -108,11 +108,10 @@ def _odd_generator_annihilators() -> dict:
             ok = space.dimension == 1 and space.basis == (expected,)
             cases.append({"i": fraction_json(i), "dim": space.dimension,
                           "pass": ok, "family": family.value})
-    return {"name": "lemma3.3", "cases": cases,
-            "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
+    return cases
 
 
-def _sw22_odd_generator_annihilators() -> dict:
+def _sw22_odd_generator_annihilators() -> List[dict]:
     """In sw22 the annihilator of G_r gains ad(I_{2r}) and the outer direction."""
     family = AlgebraFamily.SW22
     cases = []
@@ -128,11 +127,10 @@ def _sw22_odd_generator_annihilators() -> dict:
         )
         ok = space.dimension == 3 and space.basis == expected
         cases.append({"r": fraction_json(r), "dim": space.dimension, "pass": ok})
-    return {"name": "lemma4.4i", "cases": cases,
-            "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
+    return cases
 
 
-def _even_probe_annihilators() -> dict:
+def _even_probe_annihilators() -> List[dict]:
     """The annihilator of I_0 + Q_0 in a window of bound W has dimension
     4W + 4, contains ad(L_0) and ad(L_1 - 1/2 G_1), and meets the outer
     direction trivially."""
@@ -153,11 +151,10 @@ def _even_probe_annihilators() -> dict:
               and all(b.outer_lambda == 0 for b in space.basis))
         cases.append({"bound": w, "dim": space.dimension,
                       "expected_dim": 4 * w + 4, "pass": ok})
-    return {"name": "lemma4.4ii", "cases": cases,
-            "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
+    return cases
 
 
-def _mixed_element_annihilators() -> dict:
+def _mixed_element_annihilators() -> List[dict]:
     """For odd p, the annihilator of L_p + I_{2p} + Q_{2p} is spanned by
     ad of the element itself and ad(I_p)."""
     family = AlgebraFamily.SW22
@@ -176,17 +173,14 @@ def _mixed_element_annihilators() -> dict:
         )
         ok = space.dimension == 2 and space.basis == expected
         cases.append({"p": fraction_json(p), "dim": space.dimension, "pass": ok})
-    return {"name": "lemma4.7", "cases": cases,
-            "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}
+    return cases
 
 
-def _outer_derivation_is_derivation() -> dict:
+def _outer_derivation_is_derivation() -> List[dict]:
     """The outer direction satisfies the graded Leibniz rule exhaustively."""
     violations, pairs = outer_derivation_defect_sweep(3)
-    ok = violations == 0
-    case = {"bound": 3, "pairs": pairs, "violations": violations, "pass": ok}
-    return {"name": "lemma4.1-derivation", "cases": [case],
-            "verdict": "pass" if ok else "fail"}
+    return [{"bound": 3, "pairs": pairs, "violations": violations,
+             "pass": violations == 0}]
 
 
 _LEMMA_RUNNERS = {
@@ -207,4 +201,6 @@ def run_lemma(name: str) -> dict:
     except KeyError:
         raise ValueError("unknown suite %r (expected one of %s)"
                          % (name, ", ".join(LEMMA_NAMES))) from None
-    return runner()
+    cases = runner()
+    return {"name": name, "cases": cases,
+            "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}

@@ -39,7 +39,7 @@ from .derivations import (
     MapLike,
     RawLinearMap,
     SuperDerivation,
-    evaluate,
+    _combination,
     outer_action,
 )
 from .expr import format_element
@@ -77,10 +77,10 @@ class TwoLocalOracle:
 def checked_query(oracle: TwoLocalOracle, x: Element, y: Element) -> OracleAnswer:
     """Query the oracle and verify the response against its own deltas."""
     answer = oracle.query(x, y)
-    if evaluate(answer.local_map, x) != answer.delta_x:
+    if answer.local_map.apply(x) != answer.delta_x:
         raise OracleDefectError(
             "oracle response disagrees with its delta at %s" % format_element(x))
-    if evaluate(answer.local_map, y) != answer.delta_y:
+    if answer.local_map.apply(y) != answer.delta_y:
         raise OracleDefectError(
             "oracle response disagrees with its delta at %s" % format_element(y))
     return answer
@@ -103,9 +103,13 @@ class TestSet:
     random_count: int
     seed: int
 
+    def __post_init__(self):
+        if self.random_count < 0:
+            raise ValueError("the random test count must be non-negative")
+
     def elements(self, family: AlgebraFamily) -> Tuple[Element, ...]:
-        out = [Element.basis(bv) for bv in self.basis_bound.basis_vectors(family)]
         pool = self.basis_bound.basis_vectors(family)
+        out = [Element.basis(bv) for bv in pool]
         rng = random.Random(self.seed)
         for _ in range(self.random_count):
             k = rng.randint(1, min(4, len(pool)))
@@ -233,14 +237,14 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
     checks: List[CheckRecord] = []
 
     def candidate_action(e: Element) -> Element:
-        out = evaluate(candidate, e)
+        out = candidate.apply(e)
         if mu:
             out = out + mu * outer_action(e)
         return out
 
     if probe is not None:
         delta_probe = checked_query(oracle, a1, probe).delta_y
-        residual = delta_probe - evaluate(candidate, probe)
+        residual = delta_probe - candidate.apply(probe)
         if not residual.is_zero:
             ratio = _scalar_ratio(residual, probe)
             if ratio is not None:
@@ -282,22 +286,13 @@ def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
     if x.is_zero and y.is_zero:
         return _full_window_space(family, window)
     if x.is_zero:
-        return annihilator_basis(y, window).basis
-    if y.is_zero:
-        return annihilator_basis(x, window).basis
+        x, y = y, x
     base = annihilator_basis(x, window).basis
-    if not base:
-        return ()
-    m = image_matrix({j: d.apply(y) for j, d in enumerate(base)})
-    if not m.row_labels:
+    if y.is_zero or not base:
         return base
-    out = []
-    for vec in kernel_basis(m):
-        d = SuperDerivation.zero(family)
-        for j, c in vec.items():
-            d = d + c * base[j]
-        out.append(d)
-    return tuple(out)
+    m = image_matrix({j: d.apply(y) for j, d in enumerate(base)})
+    return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
+                 for vec in kernel_basis(m))
 
 
 def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
@@ -308,7 +303,7 @@ def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
 
 def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
                        seed: int) -> TwoLocalOracle:
-    """An oracle whose underlying assignment is apply(d, .).
+    """An oracle whose underlying assignment is d.apply.
 
     Each query returns d plus a seeded pseudo-random combination of the
     window derivations annihilating both arguments, so responses vary from
@@ -322,10 +317,8 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
         basis = _pair_mask_basis(x, y, mask_window, family)
         if basis:
             rng = random.Random(_pair_seed(seed, family, x, y))
-            for b in basis:
-                c = rng.choice(_MASK_COEFFS)
-                if c:
-                    local = local + c * b
+            coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
+            local = _combination(family, ((1, d), *zip(coeffs, basis)))
         return OracleAnswer(local, local.apply(x), local.apply(y))
 
     return TwoLocalOracle(family, query)
@@ -351,7 +344,7 @@ def _coefficient_square_oracle(family: AlgebraFamily) -> TwoLocalOracle:
         for bv, c in x.terms.items():
             table.setdefault(bv, Element.basis(bv, c))
         raw = RawLinearMap(family, table)
-        return OracleAnswer(raw, raw.value(x), raw.value(y))
+        return OracleAnswer(raw, raw.apply(x), raw.apply(y))
 
     return TwoLocalOracle(family, query)
 
@@ -367,7 +360,7 @@ def _shift_map_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     def query(x: Element, y: Element) -> OracleAnswer:
         table = {bv: image(bv) for bv in (*x.support(), *y.support())}
         raw = RawLinearMap(family, table)
-        return OracleAnswer(raw, raw.value(x), raw.value(y))
+        return OracleAnswer(raw, raw.apply(x), raw.apply(y))
 
     return TwoLocalOracle(family, query)
 

@@ -8,11 +8,15 @@ and row spans is what the cross-check tests assert.
 ``reference_bracket`` transcribes the seven bracket formulas of the README,
 one branch per formula, plus graded anti-symmetry for reversed orders; the
 package evaluates the same constants from a table of three shapes.
+
+``reference_leibniz_defect`` builds the parity components of a linear map
+from a per-basis-vector table of same-parity and flipped images; the package
+reads them from the map's values on the parity parts of its argument.
 """
 
 from fractions import Fraction
 
-from superder import AlgebraFamily, BasisVector
+from superder import AlgebraFamily, BasisVector, Element, bracket
 
 
 def dense_rref(rows):
@@ -115,3 +119,32 @@ def reference_bracket(u, v):
             w = BasisVector(u.family, kind, 0 if index is None else index)
             out[w] = Fraction(sign * coeff)
     return out
+
+
+def reference_leibniz_defect(d, x, y):
+    """d([x, y]) minus the sum over parity components d_p of d and x_q of x
+    of [d_p(x_q), y] + (-1)^{pq} [x_q, d_p(y)], for any map with ``apply``.
+
+    Each basis vector u in the support of x or y is sent through d; the part
+    of its image with u's own parity goes to the table of d_0, the flipped
+    part to the table of d_1, and each d_p extends its table linearly.
+    """
+    family = x.family
+    tables = ({}, {})
+    for u in {**x.terms, **y.terms}:
+        for w, c in d.apply(Element.basis(u)).terms.items():
+            flipped = 0 if w.parity == u.parity else 1
+            tables[flipped].setdefault(u, []).append((w, c))
+
+    def component(p, z):
+        return Element(family, [(w, a * c) for u, a in z.terms.items()
+                                for w, c in tables[p].get(u, ())])
+
+    total = d.apply(bracket(x, y))
+    for p in (0, 1):
+        dp_y = component(p, y)
+        for q in (0, 1):
+            xq = Element(family, [(u, a) for u, a in x.terms.items() if u.parity == q])
+            sign = -1 if (p, q) == (1, 1) else 1
+            total = total - bracket(component(p, xq), y) - sign * bracket(xq, dp_y)
+    return total

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from superder import AlgebraFamily, BasisVector, Element, SuperDerivation
+from superder import AlgebraFamily, BasisVector, Element, RawLinearMap, SuperDerivation
 from superder.algebra import KIND_G
 
 ALL_FAMILIES = tuple(AlgebraFamily)
@@ -48,3 +48,17 @@ def super_derivations(family, bound=4, max_terms=3):
         return st.builds(lambda e, lam: SuperDerivation(family, e, lam),
                          inner, st.sampled_from(RATIONALS))
     return inner.map(SuperDerivation.ad)
+
+
+def raw_maps(family, bound=1, max_entries=5):
+    """Raw tables over a small window whose images mix both parities."""
+    pool = tuple(BasisVector(family, k, i)
+                 for k in family.kinds for i in index_values(family, k, bound))
+    even = tuple(b for b in pool if b.parity == 0)
+    odd = tuple(b for b in pool if b.parity == 1)
+    image = st.builds(lambda a, b, c, e: Element(family, ((a, c), (b, e))),
+                      st.sampled_from(even), st.sampled_from(odd),
+                      st.sampled_from(NONZERO_RATIONALS),
+                      st.sampled_from(NONZERO_RATIONALS))
+    return st.dictionaries(st.sampled_from(pool), image, max_size=max_entries) \
+        .map(lambda table: RawLinearMap(family, table))

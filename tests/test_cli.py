@@ -163,6 +163,15 @@ class TestConfig:
         assert payload["algebra"] == "svir0"
         assert payload["dimension"] == 0
 
+    def test_rational_bounds_accepted(self, capsys, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"bound": "7/2"}))
+        from_flag = run(capsys, "jacobi", "--json", "--bound", "7/2")
+        from_config = run(capsys, "jacobi", "--json", "--config", str(path))
+        assert from_flag == from_config
+        assert from_flag[0] == 0
+        assert json.loads(from_flag[1])["bound"] == "7/2"
+
     def test_config_seed_matches_explicit_seed(self, capsys, tmp_path):
         path = tmp_path / "conf.json"
         path.write_text(json.dumps({"seed": 3}))
@@ -226,6 +235,35 @@ class TestErrors:
                            "--oracle", spec)
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("bound", ["1e1", "1_0", "1.5"])
+    def test_bound_follows_rational_grammar(self, capsys, bound):
+        code, out, err = run(capsys, "jacobi", "--bound", bound)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError (position 1):")
+
+    def test_mask_bound_follows_rational_grammar(self, capsys):
+        code, _, err = run(capsys, *TestGlobalize.HONEST, "--mask-bound", "1e1")
+        assert code == 2
+        assert "ParseError" in err
+
+    @pytest.mark.parametrize("config", [{"bound": "1e1"}, {"seed": 1.9},
+                                        {"seed": True}, {"seed": "1"}])
+    def test_config_numbers_are_checked(self, capsys, tmp_path, config):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps(config))
+        code, out, err = run(capsys, "globalize", "--algebra", "sw22", "--oracle",
+                             "honest:ad(I[2])", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_negative_random_count(self, capsys):
+        code, out, err = run(capsys, *TestGlobalize.HONEST, "--random", "-3")
+        assert code == 2
+        assert out == ""
+        assert "non-negative" in err
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "jacobi", "--config", "/no/such/file.json")

@@ -13,8 +13,6 @@ from superder import (
     FamilyMismatchError,
     RawLinearMap,
     SuperDerivation,
-    derivation_parity_components,
-    evaluate,
     leibniz_defect,
     outer_action,
 )
@@ -29,6 +27,7 @@ from superder.algebra import (
 )
 
 import strategies as sg
+from helpers import reference_leibniz_defect
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -95,32 +94,6 @@ class TestSuperDerivation:
         assert d.apply(a * x + b * y) == a * d.apply(x) + b * d.apply(y)
 
 
-class TestParityComponents:
-    def test_mixed_inner(self):
-        d = SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1), (KIND_G, 0, 1)))
-        even, odd = derivation_parity_components(d)
-        assert even == SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1)))
-        assert odd == SuperDerivation.ad(el(SVIR0, (KIND_G, 0, 1)))
-
-    def test_outer_part_travels_with_even(self):
-        even, odd = derivation_parity_components(outer(lam=2))
-        assert even == outer(lam=2)
-        assert odd.is_zero
-
-    def test_zero(self):
-        even, odd = derivation_parity_components(SuperDerivation.zero(VIR))
-        assert even.is_zero and odd.is_zero
-
-    @given(data=st.data())
-    def test_components_sum_back(self, data):
-        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
-        d = data.draw(sg.super_derivations(family), label="d")
-        even, odd = derivation_parity_components(d)
-        assert even + odd == d
-        assert all(b.parity == 0 for b in even.inner.support())
-        assert all(b.parity == 1 for b in odd.inner.support())
-
-
 class TestRawLinearMap:
     def test_zero_images_dropped_and_table_sorted(self):
         raw = RawLinearMap(SVIR0, {
@@ -133,8 +106,7 @@ class TestRawLinearMap:
     def test_value_extends_linearly(self):
         raw = RawLinearMap(SVIR0, {bv(SVIR0, KIND_L, 0): el(SVIR0, (KIND_G, 1, 1))})
         x = el(SVIR0, (KIND_L, 0, 3), (KIND_G, 2, 5))
-        assert raw.value(x) == el(SVIR0, (KIND_G, 1, 3))
-        assert evaluate(raw, x) == raw.value(x)
+        assert raw.apply(x) == el(SVIR0, (KIND_G, 1, 3))
 
     def test_mixed_family_table_rejected(self):
         with pytest.raises(FamilyMismatchError):
@@ -172,6 +144,31 @@ class TestLeibnizDefect:
         y = el(family, (KIND_G, -1, 1))
         # raw([x,y]) = raw(2 L_0 + 1/4 C) = 2 G_0; raw(x) = raw(y) = 0.
         assert leibniz_defect(raw, x, y) == el(family, (KIND_G, 0, 2))
+
+    def test_mixed_parity_raw_map(self):
+        # G_0 -> L_0 + G_1: d_0(G_0) = G_1 (same parity), d_1(G_0) = L_0.
+        # [G_1, G_0] = 2 L_1 and the map kills L_1 and G_1, so the defect is
+        # -([G_1, d_0(G_0)] - [G_1, d_1(G_0)]) = -(2 L_2 - G_1).
+        family = SVIR0
+        raw = RawLinearMap(family, {bv(family, KIND_G, 0):
+                                    el(family, (KIND_L, 0, 1), (KIND_G, 1, 1))})
+        x = el(family, (KIND_G, 1, 1))
+        y = el(family, (KIND_G, 0, 1))
+        assert leibniz_defect(raw, x, y) == el(family, (KIND_L, 2, -2), (KIND_G, 1, 1))
+
+    @given(data=st.data())
+    def test_matches_per_basis_vector_split(self, data):
+        if data.draw(st.booleans(), label="raw"):
+            family = data.draw(st.sampled_from(sg.SUPER_FAMILIES), label="family")
+            d = data.draw(sg.raw_maps(family), label="d")
+        else:
+            family = SW22
+            d = data.draw(st.builds(lambda e, lam: SuperDerivation(family, e, lam),
+                                    sg.elements(family, bound=2),
+                                    st.sampled_from(sg.NONZERO_RATIONALS)), label="d")
+        x = data.draw(sg.elements(family, bound=1), label="x")
+        y = data.draw(sg.elements(family, bound=1), label="y")
+        assert leibniz_defect(d, x, y) == reference_leibniz_defect(d, x, y)
 
     def test_family_mismatch(self):
         with pytest.raises(FamilyMismatchError):

@@ -20,7 +20,6 @@ from superder import (
     UnsupportedFamilyError,
     anchor_pair,
     checked_query,
-    evaluate,
     globalize,
     homogeneity_check,
     make_adversarial_oracle,
@@ -70,8 +69,8 @@ class TestCheckedQuery:
         x = el(SVIR0, (KIND_G, 0, 1))
         y = el(SVIR0, (KIND_L, -2, 1))
         ans = checked_query(oracle, x, y)
-        assert ans.delta_x == evaluate(ans.local_map, x)
-        assert ans.delta_y == evaluate(ans.local_map, y)
+        assert ans.delta_x == ans.local_map.apply(x)
+        assert ans.delta_y == ans.local_map.apply(y)
 
     def test_lying_oracle_raises(self):
         zero = SuperDerivation.zero(SVIR0)
@@ -110,8 +109,8 @@ class TestHonestOracle:
         for seed in range(21):
             ans = make_honest_oracle(zero, GradedWindow(F(4)), seed).query(x, y)
             assert ans.delta_x.is_zero and ans.delta_y.is_zero
-            assert evaluate(ans.local_map, x).is_zero
-            assert evaluate(ans.local_map, y).is_zero
+            assert ans.local_map.apply(x).is_zero
+            assert ans.local_map.apply(y).is_zero
             if not ans.local_map.is_zero:
                 saw_nonzero_mask = True
         assert saw_nonzero_mask
@@ -121,7 +120,7 @@ class TestHonestOracle:
         oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=9)
         x = el(SVIR0, (KIND_L, -1, 1), (KIND_G, 2, 1))
         ans = oracle.query(x, x)
-        assert ans.delta_x == ans.delta_y == evaluate(ans.local_map, x)
+        assert ans.delta_x == ans.delta_y == ans.local_map.apply(x)
 
 
 class TestGlobalizeHonest:
@@ -173,7 +172,7 @@ class TestGlobalizeDishonest:
 
         def query(x, y):
             local = skew if y == probe else zero
-            return OracleAnswer(local, evaluate(local, x), evaluate(local, y))
+            return OracleAnswer(local, local.apply(x), local.apply(y))
 
         cert = globalize(TwoLocalOracle(SW22, query), small_test_set())
         assert cert.verdict == "fail"
