@@ -14,7 +14,6 @@ from .algebra import (
     parity_decompose,
 )
 from .annihilator import (
-    OUTER_TAG,
     DerivationSpace,
     GradedWindow,
     ZeroTargetError,
@@ -24,6 +23,7 @@ from .annihilator import (
     span_contains,
 )
 from .derivations import (
+    OUTER_TAG,
     RawLinearMap,
     SuperDerivation,
     leibniz_defect,
@@ -36,18 +36,9 @@ from .expr import (
     parse_derivation,
     parse_element,
 )
-from .lemmas import (
-    LEMMA_NAMES,
-    antisymmetry_sweep,
-    jacobi_sweep,
-    outer_derivation_defect_sweep,
-    run_lemma,
-)
-from .linalg import LabeledMatrix, kernel_basis, matvec, rank
+from .lemmas import antisymmetry_sweep, jacobi_sweep, outer_derivation_defect_sweep
 from .two_local import (
     ADVERSARIAL_KINDS,
-    Certificate,
-    CheckRecord,
     OracleAnswer,
     OracleDefectError,
     TestSet,
@@ -67,16 +58,12 @@ __all__ = [
     "ADVERSARIAL_KINDS",
     "AlgebraFamily",
     "BasisVector",
-    "Certificate",
-    "CheckRecord",
     "DerivationSpace",
     "Element",
     "FamilyMismatchError",
     "GradedWindow",
     "IndexNotInSectorError",
     "KindNotInFamilyError",
-    "LEMMA_NAMES",
-    "LabeledMatrix",
     "OUTER_TAG",
     "OracleAnswer",
     "OracleDefectError",
@@ -100,17 +87,13 @@ __all__ = [
     "globalize",
     "homogeneity_check",
     "jacobi_sweep",
-    "kernel_basis",
     "leibniz_defect",
     "make_adversarial_oracle",
     "make_honest_oracle",
-    "matvec",
     "outer_action",
     "outer_derivation_defect_sweep",
     "parity_decompose",
     "parse_derivation",
     "parse_element",
-    "rank",
-    "run_lemma",
     "span_contains",
 ]

@@ -98,12 +98,11 @@ _FAMILY_KINDS = {
 }
 
 
-def _index_in_sector(family: AlgebraFamily, kind: str, index: Fraction) -> bool:
-    if kind in CENTRAL_KINDS:
-        return index == 0
-    if kind == KIND_G and family is AlgebraFamily.SVIR12:
-        return index.denominator == 2
-    return index.denominator == 1
+def sector_denominator(family: AlgebraFamily, kind: str) -> int:
+    """The legal indices of a non-central kind are the rationals whose lowest
+    terms have exactly this denominator: 2 (half-odd integers) for the odd
+    generators of svir12, 1 (integers) everywhere else."""
+    return 2 if kind == KIND_G and family is AlgebraFamily.SVIR12 else 1
 
 
 @dataclass(frozen=True)
@@ -124,7 +123,7 @@ class BasisVector:
         idx = Fraction(self.index)
         if self.kind in CENTRAL_KINDS:
             idx = Fraction(0)
-        if not _index_in_sector(self.family, self.kind, idx):
+        elif idx.denominator != sector_denominator(self.family, self.kind):
             raise IndexNotInSectorError(
                 "index %s is outside the legal sector for %s in family %s"
                 % (idx, self.kind, self.family.value))

@@ -1,35 +1,37 @@
 """Window-bounded annihilator spaces of elements under superderivations.
 
-A graded window bounds the support of candidate derivations: the generator
-set of a window consists of every non-central basis vector whose index has
-absolute value at most the bound, plus the outer derivation direction for
-the sw22 family.  Images of the generators may reach indices up to twice the
-bound; rows of the evaluation matrix follow the data and are never clipped.
+A graded window bounds the support of candidate derivations.  Its
+directions are the coordinates of ``SuperDerivation.coords``: every
+non-central basis vector whose index has absolute value at most the bound,
+then the outer direction ``OUTER_TAG`` in families that have one.  Images of
+the generators may reach indices up to twice the bound; rows of the
+evaluation matrix follow the data and are never clipped.
 
-Choosing the bound is the caller's responsibility.  A reliable rule of thumb
-is to take the bound at least 2 * (largest absolute index in the target) + 2,
-which leaves room for every annihilator direction the structure constants
-allow.
+Choosing the bound is the caller's responsibility, and no default is known
+to be enough.  The CLI defaults to 2 * (largest absolute index in the
+target) + 2, which covers the odd-generator lemmas but not every target:
+the annihilator of a central element grows with every window (svir0 ``C``
+has dimension 10, 14 and 18 at bounds 2, 3 and 4), and a small bound can
+miss a direction entirely (``G[3]`` in svir0 has none at bound 4, while
+``ad(L[6])`` appears at bound 6).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
-    KIND_G,
     AlgebraFamily,
     BasisVector,
     Element,
     bracket,
+    sector_denominator,
 )
-from .derivations import SuperDerivation, outer_action
-from .linalg import LabeledMatrix, kernel_basis, rows_rank
-
-# Column tag for the outer derivation direction.
-OUTER_TAG = "D"
+from .derivations import OUTER_TAG, SuperDerivation, has_outer, outer_action
+from .linalg import LabeledMatrix, kernel_basis, rank
 
 
 class ZeroTargetError(ValueError):
@@ -49,20 +51,20 @@ class GradedWindow:
         object.__setattr__(self, "bound", b)
 
     def _indices(self, family: AlgebraFamily, kind: str) -> List[Fraction]:
-        if kind == KIND_G and family is AlgebraFamily.SVIR12:
-            # Half-odd integers r = m/2 with m odd and |m| <= 2 * bound.
-            top = int(2 * self.bound)
-            return [Fraction(m, 2) for m in range(-top, top + 1) if m % 2]
-        top = int(self.bound)
-        return [Fraction(k) for k in range(-top, top + 1)]
+        # r = m/den in lowest terms with |m| <= den * bound.
+        den = sector_denominator(family, kind)
+        top = int(den * self.bound)
+        return [Fraction(m, den) for m in range(-top, top + 1) if math.gcd(m, den) == 1]
 
     def generators(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
         """Non-central basis vectors inside the window, in canonical order."""
-        out = []
-        for kind in family.noncentral_kinds:
-            for idx in self._indices(family, kind):
-                out.append(BasisVector(family, kind, idx))
-        return tuple(out)
+        return tuple(BasisVector(family, kind, idx) for kind in family.noncentral_kinds
+                     for idx in self._indices(family, kind))
+
+    def directions(self, family: AlgebraFamily) -> Tuple[Hashable, ...]:
+        """Coordinate order of window derivations: the generators, then the
+        outer tag where the family has the outer direction."""
+        return self.generators(family) + ((OUTER_TAG,) if has_outer(family) else ())
 
     def basis_vectors(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
         """All basis vectors inside the window, central charges last."""
@@ -85,18 +87,15 @@ def image_matrix(images: Dict[Hashable, Element]) -> LabeledMatrix:
 def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
     """Matrix of the map (derivation coefficients) -> (value on the target).
 
-    Columns are tagged by the window generators (acting through ad) plus the
-    outer tag for sw22; rows are tagged by the basis vectors that actually
+    Columns are the window directions (generators acting through ad, then
+    the outer tag); rows are tagged by the basis vectors that actually
     appear in the images.
     """
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
-    family = target.family
-    images: Dict = {bv: bracket(Element.basis(bv), target)
-                    for bv in window.generators(family)}
-    if family is AlgebraFamily.SW22:
-        images[OUTER_TAG] = outer_action(target)
-    return image_matrix(images)
+    return image_matrix({tag: outer_action(target) if tag == OUTER_TAG
+                         else bracket(Element.basis(tag), target)
+                         for tag in window.directions(target.family)})
 
 
 @dataclass(frozen=True)
@@ -130,47 +129,37 @@ def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     hit = _ANNIHILATOR_CACHE.get(key)
     if hit is not None:
         return hit
-    m = evaluation_matrix(target, window)
-    basis = []
-    for vec in kernel_basis(m):
-        lam = vec.pop(OUTER_TAG, Fraction(0))
-        inner = Element(target.family, vec)
-        basis.append(SuperDerivation(target.family, inner, lam))
-    space = DerivationSpace(tuple(basis), window, target)
+    basis = tuple(SuperDerivation.from_coords(target.family, vec)
+                  for vec in kernel_basis(evaluation_matrix(target, window)))
+    space = DerivationSpace(basis, window, target)
     _ANNIHILATOR_CACHE[key] = space
     return space
 
 
 def derivation_coords(d: SuperDerivation, window: GradedWindow) -> Optional[List[Fraction]]:
-    """Dense coordinates of d over the window generators plus the outer tag.
+    """Dense coordinates of d over the window directions.
 
     Returns None when the inner support does not fit inside the window.
     """
-    gens = window.generators(d.family)
-    pos = {bv: i for i, bv in enumerate(gens)}
-    has_outer = d.family is AlgebraFamily.SW22
-    coords = [Fraction(0)] * (len(gens) + (1 if has_outer else 0))
-    for bv, c in d.inner.terms.items():
-        i = pos.get(bv)
-        if i is None:
-            return None
-        coords[i] = c
-    if has_outer:
-        coords[-1] = d.outer_lambda
-    return coords
+    coords = d.coords()
+    dense = [coords.pop(tag, Fraction(0)) for tag in window.directions(d.family)]
+    return None if coords else dense
 
 
 def span_contains(basis: Sequence[SuperDerivation], d: SuperDerivation,
                   window: GradedWindow) -> bool:
     """Whether d lies in the rational span of the given derivations."""
-    target = derivation_coords(d, window)
-    if target is None:
+    directions = window.directions(d.family)
+    inside = set(directions)
+    target = d.coords()
+    if not target.keys() <= inside:
         return False
-    rows = []
-    for b in basis:
-        coords = derivation_coords(b, window)
-        if coords is None:
-            raise ValueError("basis member has support outside the window")
-        rows.append(coords)
-    base_rank = rows_rank(rows)
-    return rows_rank(rows + [target]) == base_rank
+    rows = [b.coords() for b in basis]
+    if any(not row.keys() <= inside for row in rows):
+        raise ValueError("basis member has support outside the window")
+
+    def span_rank(vectors: List[Dict[Hashable, Fraction]]) -> int:
+        entries = {(i, tag): c for i, v in enumerate(vectors) for tag, c in v.items()}
+        return rank(LabeledMatrix(tuple(range(len(vectors))), directions, entries))
+
+    return span_rank(rows + [target]) == span_rank(rows)

@@ -8,9 +8,11 @@ verification suites).
 
 Exit codes: 0 for success or a passing verdict, 1 for a mathematical
 failure (violations found, failed certificate, defective oracle), 2 for
-usage or parse errors.  A JSON config file may supply default algebra,
-bound, and seed; the SUPERDER_SEED environment variable overrides the
-config seed and an explicit --seed flag beats both.
+usage, parse or config-file errors, and 141 (128 + SIGPIPE, as a shell
+reports it) when the reader of stdout closes it before the output is
+written.  A JSON config file may supply default algebra, bound, and seed;
+the SUPERDER_SEED environment variable overrides the config seed and an
+explicit --seed flag beats both.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .expr import (
     fraction_json,
     parse_derivation,
     parse_element,
+    parse_integer,
     parse_rational,
 )
 from .lemmas import LEMMA_NAMES, jacobi_sweep, run_lemma
@@ -44,6 +47,7 @@ from .two_local import (
 )
 
 ENV_SEED = "SUPERDER_SEED"
+EXIT_CLOSED_OUTPUT = 141
 ALGEBRA_TAGS = tuple(family.value for family in AlgebraFamily)
 
 
@@ -71,11 +75,9 @@ def _resolve_bound(args, config: dict, fallback: Fraction) -> Fraction:
 
 
 def _resolve_seed(args, config: dict) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(ENV_SEED)
-    if env is not None:
-        return int(env)
+    text = args.seed if args.seed is not None else os.environ.get(ENV_SEED)
+    if text is not None:
+        return parse_integer(text)
     if "seed" in config:
         seed = config["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
@@ -153,7 +155,8 @@ def _cmd_globalize(args, family: AlgebraFamily, config: dict) -> int:
     seed = _resolve_seed(args, config)
     bound = _resolve_bound(args, config, Fraction(3))
     oracle = _build_oracle(args.oracle, family, seed, parse_rational(args.mask_bound))
-    certificate = globalize(oracle, TestSet(GradedWindow(bound), args.random, seed))
+    test_set = TestSet(GradedWindow(bound), parse_integer(args.random), seed)
+    certificate = globalize(oracle, test_set)
     print(certificate.to_json())
     return 0 if certificate.verdict == "pass" else 1
 
@@ -221,9 +224,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "kind one of: %s" % ", ".join(ADVERSARIAL_KINDS))
     p.add_argument("--bound", default=None,
                    help="test basis window bound (default 3)")
-    p.add_argument("--random", type=int, default=20, metavar="N",
+    p.add_argument("--random", default="20", metavar="N",
                    help="number of seeded random test elements (default 20)")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", default=None,
                    help="seed (default: SUPERDER_SEED, then config, then 0)")
     p.add_argument("--mask-bound", default="4",
                    dest="mask_bound",
@@ -252,6 +255,17 @@ def _print_error(exc: BaseException, as_json: bool,
 
 
 def run_command(argv=None) -> int:
+    """Run one command line and return its exit code."""
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Whoever reads stdout (``| head``) has gone; there is no one to tell.
+        return EXIT_CLOSED_OUTPUT
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -262,6 +276,8 @@ def run_command(argv=None) -> int:
         config = _load_config(args.config)
         family = _resolve_family(args, config)
         return args.handler(args, family, config)
+    except BrokenPipeError:
+        raise
     except OracleDefectError as exc:
         _print_error(exc, as_json)
         return 1
@@ -272,7 +288,12 @@ def run_command(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run_command())
+    code = run_command()
+    if code == EXIT_CLOSED_OUTPUT:
+        # Python flushes stdout once more at exit; send that to devnull so the
+        # closed pipe is not reported a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

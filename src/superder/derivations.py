@@ -4,7 +4,8 @@ A superderivation is stored as an inner part (an element acting through the
 adjoint map) plus a rational multiple of the distinguished outer derivation
 of the super W(2,2) algebra.  That outer derivation fixes every I_m, Q_r and
 the central charge C2, and kills L_m, G_r and C1; no other family admits a
-nonzero outer part.
+nonzero outer part.  Annihilators are solved in the coordinates
+``{basis vector: c, OUTER_TAG: lambda}`` of ``SuperDerivation.coords``.
 
 ``RawLinearMap`` is a finite table from basis vectors to elements, extended
 linearly.  It exists for maps that are not superderivations: adversarial
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple, Union
+from typing import Dict, Hashable, Iterable, Mapping, Tuple, Union
 
 from .algebra import (
     KIND_C2,
@@ -33,6 +34,14 @@ from .algebra import (
 )
 
 _OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
+
+# Coordinate tag of the outer derivation direction D.
+OUTER_TAG = "D"
+
+
+def has_outer(family: AlgebraFamily) -> bool:
+    """Whether the family has the outer derivation direction D (sw22 only)."""
+    return family is AlgebraFamily.SW22
 
 
 def outer_action(x: Element) -> Element:
@@ -62,7 +71,7 @@ class SuperDerivation:
         if self.inner.family is not self.family:
             raise FamilyMismatchError("inner element belongs to a different family")
         lam = Fraction(self.outer_lambda)
-        if lam != 0 and self.family is not AlgebraFamily.SW22:
+        if lam != 0 and not has_outer(self.family):
             raise ValueError("only the sw22 family has an outer derivation direction")
         if any(b.is_central for b in self.inner.terms):
             stripped = Element(self.family, ((b, c) for b, c in self.inner.terms.items()
@@ -77,6 +86,21 @@ class SuperDerivation:
     @classmethod
     def ad(cls, inner: Element) -> "SuperDerivation":
         return cls(inner.family, inner)
+
+    @classmethod
+    def from_coords(cls, family: AlgebraFamily,
+                    coords: Mapping[Hashable, Fraction]) -> "SuperDerivation":
+        """The derivation with the given coordinates; inverse of ``coords``."""
+        inner = dict(coords)
+        lam = inner.pop(OUTER_TAG, 0)
+        return cls(family, Element(family, inner), lam)
+
+    def coords(self) -> Dict[Hashable, Fraction]:
+        """Sparse coordinates: the inner terms, then ``OUTER_TAG`` when lambda != 0."""
+        out: Dict[Hashable, Fraction] = dict(self.inner.terms)
+        if self.outer_lambda:
+            out[OUTER_TAG] = self.outer_lambda
+        return out
 
     @property
     def is_zero(self) -> bool:

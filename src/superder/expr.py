@@ -7,6 +7,7 @@ Element grammar (whitespace may separate tokens):
     gen      := ('L'|'G'|'I'|'Q') '[' index ']' | 'C' | 'C1' | 'C2'
     rational := ['-'] digits ['/' digits]
     index    := ['-'] digits ['/2']
+    digits   := ('0'..'9')+
 
 The bare string "0" denotes the zero element.  Printing produces the
 canonical form: terms sorted by kind (L, G, I, Q, C, C1, C2) and then by
@@ -23,9 +24,10 @@ derivation.  The outer coefficient q follows the same rational rule:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import Iterable, Optional, Tuple
 
 from .algebra import (
+    CENTRAL_KINDS,
     KIND_C,
     KIND_C1,
     KIND_C2,
@@ -35,7 +37,7 @@ from .algebra import (
     IndexNotInSectorError,
     KindNotInFamilyError,
 )
-from .derivations import SuperDerivation
+from .derivations import SuperDerivation, has_outer
 
 
 class ParseError(ValueError):
@@ -46,6 +48,10 @@ class ParseError(ValueError):
             message = "%s (at position %d)" % (message, position)
         super().__init__(message)
         self.position = position
+
+
+# ASCII only: ``str.isdigit`` also accepts other scripts and superscripts.
+_DIGITS = frozenset("0123456789")
 
 
 class _Scanner:
@@ -81,7 +87,7 @@ class _Scanner:
     def digits(self) -> str:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
+        while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)
@@ -110,36 +116,30 @@ def _parse_index(s: _Scanner) -> Fraction:
 
 def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
     start = s.pos
-    ch = s.peek()
-    if ch == "C":
-        s.take()
-        kind = KIND_C
-        nxt = s.src[s.pos] if s.pos < len(s.src) else ""
-        if nxt in ("1", "2"):
-            s.pos += 1
-            kind = KIND_C1 if nxt == "1" else KIND_C2
-        if kind not in family.kinds:
-            raise KindNotInFamilyError(
-                "kind %r does not exist in family %r (at position %d)"
-                % (kind, family.value, start), start)
+    kind = s.peek()
+    if kind not in ("C", "L", "G", "I", "Q"):
+        raise ParseError("expected a generator", s.pos)
+    s.take()
+    nxt = s.src[s.pos] if s.pos < len(s.src) else ""
+    if kind == KIND_C and nxt in ("1", "2"):
+        s.pos += 1
+        kind = KIND_C1 if nxt == "1" else KIND_C2
+    if kind not in family.kinds:
+        raise KindNotInFamilyError(
+            "kind %r does not exist in family %r (at position %d)"
+            % (kind, family.value, start), start)
+    if kind in CENTRAL_KINDS:
         return BasisVector(family, kind)
-    if ch in ("L", "G", "I", "Q"):
-        s.take()
-        if ch not in family.kinds:
-            raise KindNotInFamilyError(
-                "kind %r does not exist in family %r (at position %d)"
-                % (ch, family.value, start), start)
-        s.expect("[")
-        idx_pos = s.pos
-        index = _parse_index(s)
-        s.expect("]")
-        try:
-            return BasisVector(family, ch, index)
-        except IndexNotInSectorError:
-            raise IndexNotInSectorError(
-                "index %s is outside the legal sector for %s in family %s (at position %d)"
-                % (index, ch, family.value, idx_pos), idx_pos) from None
-    raise ParseError("expected a generator", s.pos)
+    s.expect("[")
+    idx_pos = s.pos
+    index = _parse_index(s)
+    s.expect("]")
+    try:
+        return BasisVector(family, kind, index)
+    except IndexNotInSectorError:
+        raise IndexNotInSectorError(
+            "index %s is outside the legal sector for %s in family %s (at position %d)"
+            % (index, kind, family.value, idx_pos), idx_pos) from None
 
 
 def _parse_rational(s: _Scanner) -> Fraction:
@@ -155,19 +155,29 @@ def _parse_rational(s: _Scanner) -> Fraction:
     return value
 
 
-def parse_rational(src: str) -> Fraction:
-    """Parse the whole of ``src`` by the grammar's ``rational`` rule."""
+def _parse_whole(src: str, rule) -> Fraction:
+    """Parse the whole of ``src`` by one number rule of the grammar."""
     s = _Scanner(src)
-    value = _parse_rational(s)
+    value = rule(s)
     if not s.at_end():
         raise ParseError("unexpected %r after the number" % s.peek(), s.pos)
     return value
 
 
+def parse_rational(src: str) -> Fraction:
+    """Parse the whole of ``src`` by the grammar's ``rational`` rule."""
+    return _parse_whole(src, _parse_rational)
+
+
+def parse_integer(src: str) -> int:
+    """Parse the whole of ``src`` by the grammar's ``['-'] digits`` rule."""
+    return int(_parse_whole(src, _parse_signed_digits))
+
+
 def _parse_coefficient(s: _Scanner) -> Fraction:
     """An optional ``rational '*'`` prefix; 1 when absent."""
     ch = s.peek()
-    if not (ch.isdigit() or ch == "-"):
+    if not (ch in _DIGITS or ch == "-"):
         return Fraction(1)
     coeff = _parse_rational(s)
     s.expect("*")
@@ -210,19 +220,19 @@ def parse_element(src: str, family: AlgebraFamily) -> Element:
     return _parse_expr(_Scanner(src), family)
 
 
+def _signed_terms(terms: Iterable[Tuple[str, Fraction]]) -> str:
+    """``c*token`` terms joined by their signs, unit coefficients suppressed."""
+    parts = []
+    for token, c in terms:
+        core = token if abs(c) == 1 else "%s*%s" % (abs(c), token)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + core)
+    return " ".join(parts) or "0"
+
+
 def format_element(e: Element) -> str:
     """Canonical rendering of an element; inverse of parse_element."""
-    if e.is_zero:
-        return "0"
-    parts = []
-    for i, (bv, c) in enumerate(e.terms.items()):
-        mag = abs(c)
-        core = bv.token() if mag == 1 else "%s*%s" % (mag, bv.token())
-        if i == 0:
-            parts.append(("-" + core) if c < 0 else core)
-        else:
-            parts.append(("- " if c < 0 else "+ ") + core)
-    return " ".join(parts)
+    return _signed_terms((bv.token(), c) for bv, c in e.terms.items())
 
 
 def fraction_json(value: Fraction):
@@ -232,25 +242,15 @@ def fraction_json(value: Fraction):
 
 def format_derivation(d: SuperDerivation) -> str:
     """Render a superderivation as "ad(...)", "ad(...) +- q*D", "q*D" or "0"."""
-    if d.is_zero:
-        return "0"
-    parts = []
-    if not d.inner.is_zero:
-        parts.append("ad(%s)" % format_element(d.inner))
-    lam = d.outer_lambda
-    if lam:
-        mag = abs(lam)
-        core = "D" if mag == 1 else "%s*D" % mag
-        if not parts:
-            parts.append(("-" + core) if lam < 0 else core)
-        else:
-            parts.append(("- " if lam < 0 else "+ ") + core)
-    return " ".join(parts)
+    terms = [] if d.inner.is_zero else [("ad(%s)" % format_element(d.inner), 1)]
+    if d.outer_lambda:
+        terms.append(("D", d.outer_lambda))
+    return _signed_terms(terms)
 
 
 def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction:
     """``[rational '*'] 'D'`` up to the end of the input, times ``sign``."""
-    if family is not AlgebraFamily.SW22:
+    if not has_outer(family):
         raise KindNotInFamilyError(
             "the outer derivation direction exists only in family sw22", s.pos)
     coeff = _parse_coefficient(s)

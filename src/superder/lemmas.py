@@ -25,7 +25,7 @@ from .algebra import (
     bracket_terms,
 )
 from .annihilator import GradedWindow, annihilator_basis
-from .derivations import SuperDerivation, leibniz_defect
+from .derivations import OUTER_TAG, SuperDerivation, leibniz_defect
 from .expr import fraction_json
 
 
@@ -74,7 +74,7 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
 def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
     """Leibniz defects of the sw22 outer derivation over basis pairs."""
     family = AlgebraFamily.SW22
-    outer = SuperDerivation(family, Element.zero(family), Fraction(1))
+    outer = SuperDerivation.from_coords(family, {OUTER_TAG: 1})
     vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
     violations = 0
     pairs = 0
@@ -90,44 +90,39 @@ def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
 # -- named suites ---------------------------------------------------------------
 
 
+def _ad(family: AlgebraFamily, kind: str, index: Fraction) -> SuperDerivation:
+    return SuperDerivation.ad(Element.basis(BasisVector(family, kind, index)))
+
+
+def _basis_case(key: str, value: Fraction, target: Element, window: GradedWindow,
+                expected: Tuple[SuperDerivation, ...], **extra) -> dict:
+    """One case of a suite that predicts the exact annihilator basis."""
+    space = annihilator_basis(target, window)
+    return {key: fraction_json(value), "dim": space.dimension,
+            "pass": space.basis == expected, **extra}
+
+
 def _odd_generator_annihilators() -> List[dict]:
     """Annihilator of one odd generator G_i is spanned by ad(L_{2i}) alone,
     in both super Virasoro sectors."""
-    cases = []
     plans = (
         (AlgebraFamily.SVIR0, [Fraction(i) for i in range(-3, 4)]),
         (AlgebraFamily.SVIR12, [Fraction(m, 2) for m in range(-5, 6, 2)]),
     )
-    for family, indices in plans:
-        for i in indices:
-            target = Element.basis(BasisVector(family, KIND_G, i))
-            window = GradedWindow(2 * abs(i) + 2)
-            space = annihilator_basis(target, window)
-            expected = SuperDerivation.ad(
-                Element.basis(BasisVector(family, KIND_L, 2 * i)))
-            ok = space.dimension == 1 and space.basis == (expected,)
-            cases.append({"i": fraction_json(i), "dim": space.dimension,
-                          "pass": ok, "family": family.value})
-    return cases
+    return [_basis_case("i", i, Element.basis(BasisVector(family, KIND_G, i)),
+                        GradedWindow(2 * abs(i) + 2), (_ad(family, KIND_L, 2 * i),),
+                        family=family.value)
+            for family, indices in plans for i in indices]
 
 
 def _sw22_odd_generator_annihilators() -> List[dict]:
     """In sw22 the annihilator of G_r gains ad(I_{2r}) and the outer direction."""
     family = AlgebraFamily.SW22
-    cases = []
-    for r in range(-2, 3):
-        r = Fraction(r)
-        target = Element.basis(BasisVector(family, KIND_G, r))
-        window = GradedWindow(2 * abs(r) + 2)
-        space = annihilator_basis(target, window)
-        expected = (
-            SuperDerivation.ad(Element.basis(BasisVector(family, KIND_L, 2 * r))),
-            SuperDerivation.ad(Element.basis(BasisVector(family, KIND_I, 2 * r))),
-            SuperDerivation(family, Element.zero(family), Fraction(1)),
-        )
-        ok = space.dimension == 3 and space.basis == expected
-        cases.append({"r": fraction_json(r), "dim": space.dimension, "pass": ok})
-    return cases
+    outer = SuperDerivation.from_coords(family, {OUTER_TAG: 1})
+    return [_basis_case("r", r, Element.basis(BasisVector(family, KIND_G, r)),
+                        GradedWindow(2 * abs(r) + 2),
+                        (_ad(family, KIND_L, 2 * r), _ad(family, KIND_I, 2 * r), outer))
+            for r in map(Fraction, range(-2, 3))]
 
 
 def _even_probe_annihilators() -> List[dict]:
@@ -137,7 +132,7 @@ def _even_probe_annihilators() -> List[dict]:
     family = AlgebraFamily.SW22
     target = (Element.basis(BasisVector(family, KIND_I, Fraction(0)))
               + Element.basis(BasisVector(family, KIND_Q, Fraction(0))))
-    ad_l0 = SuperDerivation.ad(Element.basis(BasisVector(family, KIND_L, Fraction(0))))
+    ad_l0 = _ad(family, KIND_L, Fraction(0))
     coupled = SuperDerivation.ad(Element(family, (
         (BasisVector(family, KIND_L, Fraction(1)), Fraction(1)),
         (BasisVector(family, KIND_G, Fraction(1)), Fraction(-1, 2)),
@@ -159,20 +154,12 @@ def _mixed_element_annihilators() -> List[dict]:
     ad of the element itself and ad(I_p)."""
     family = AlgebraFamily.SW22
     cases = []
-    for p in (-3, -1, 1, 3):
-        p = Fraction(p)
-        target = Element(family, (
-            (BasisVector(family, KIND_L, p), Fraction(1)),
-            (BasisVector(family, KIND_I, 2 * p), Fraction(1)),
-            (BasisVector(family, KIND_Q, 2 * p), Fraction(1)),
-        ))
-        space = annihilator_basis(target, GradedWindow(3 * abs(p)))
-        expected = (
-            SuperDerivation.ad(target),
-            SuperDerivation.ad(Element.basis(BasisVector(family, KIND_I, p))),
-        )
-        ok = space.dimension == 2 and space.basis == expected
-        cases.append({"p": fraction_json(p), "dim": space.dimension, "pass": ok})
+    for p in map(Fraction, (-3, -1, 1, 3)):
+        target = Element(family, ((BasisVector(family, KIND_L, p), 1),
+                                  (BasisVector(family, KIND_I, 2 * p), 1),
+                                  (BasisVector(family, KIND_Q, 2 * p), 1)))
+        cases.append(_basis_case("p", p, target, GradedWindow(3 * abs(p)),
+                                 (SuperDerivation.ad(target), _ad(family, KIND_I, p))))
     return cases
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 IntRow = Dict[int, int]
 
@@ -122,11 +122,6 @@ def _reduced_echelon(rows: Iterable[Dict[int, Fraction]]
         p = row[col]
         out.append((col, {j: Fraction(row[j], p) for j in sorted(row)}))
     return out
-
-
-def rows_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank of a dense list of rational rows."""
-    return len(_echelon({j: x for j, x in enumerate(row) if x} for row in rows))
 
 
 def rank(m: LabeledMatrix) -> int:

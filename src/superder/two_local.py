@@ -270,21 +270,14 @@ _MASK_COEFFS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3))
 
 
-def _full_window_space(family: AlgebraFamily, window: GradedWindow
-                       ) -> Tuple[SuperDerivation, ...]:
-    out = [SuperDerivation.ad(Element.basis(bv)) for bv in window.generators(family)]
-    if family is AlgebraFamily.SW22:
-        out.append(SuperDerivation(family, Element.zero(family), Fraction(1)))
-    return tuple(out)
-
-
 def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
                      family: AlgebraFamily) -> Tuple[SuperDerivation, ...]:
     """A basis of the window derivations that kill both x and y."""
     if window.bound == 0:
         return ()
     if x.is_zero and y.is_zero:
-        return _full_window_space(family, window)
+        return tuple(SuperDerivation.from_coords(family, {tag: 1})
+                     for tag in window.directions(family))
     if x.is_zero:
         x, y = y, x
     base = annihilator_basis(x, window).basis
@@ -367,14 +360,13 @@ def _shift_map_oracle(family: AlgebraFamily) -> TwoLocalOracle:
 
 def _pairwise_inconsistent_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """Each response is a genuine inner derivation, but the choice depends on
-    the pair: ad(L_0) when a distinguished odd generator is an argument,
-    ad(2*L_0) otherwise.  No single derivation matches both behaviours."""
+    the pair: ad(L_0) when a distinguished generator (the second anchor, L_1
+    in vir) is an argument, ad(2*L_0) otherwise.  No single derivation
+    matches both behaviours."""
     if family is AlgebraFamily.VIR:
         special = Element.basis(BasisVector(family, KIND_L, Fraction(1)))
-    elif family is AlgebraFamily.SVIR12:
-        special = Element.basis(BasisVector(family, KIND_G, Fraction(3, 2)))
     else:
-        special = Element.basis(BasisVector(family, KIND_G, Fraction(1)))
+        special = anchor_pair(family)[1]
     ad_l0 = SuperDerivation.ad(Element.basis(BasisVector(family, KIND_L, Fraction(0))))
     ad_2l0 = 2 * ad_l0
 

@@ -13,6 +13,7 @@ from superder import (
     DerivationSpace,
     Element,
     GradedWindow,
+    IndexNotInSectorError,
     SuperDerivation,
     ZeroTargetError,
     annihilator_basis,
@@ -64,6 +65,29 @@ class TestGradedWindow:
         assert max(g_indices) == F(5, 2)
         assert max(l_indices) == 2
 
+    @pytest.mark.parametrize("bound", [F(0), F(1, 2), F(2), F(5, 2)])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
+    def test_generators_are_every_legal_index_in_the_window(self, family, bound):
+        # Independent of the sector rule: try every half-integer in range.
+        legal = []
+        for kind in family.noncentral_kinds:
+            for m in range(-int(2 * bound), int(2 * bound) + 1):
+                try:
+                    legal.append(BasisVector(family, kind, F(m, 2)))
+                except IndexNotInSectorError:
+                    pass
+        assert GradedWindow(bound).generators(family) == tuple(legal)
+
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
+    def test_directions_end_with_the_outer_tag_in_sw22_only(self, family):
+        window = GradedWindow(F(2))
+        dirs = window.directions(family)
+        gens = window.generators(family)
+        if family is SW22:
+            assert dirs == gens + (OUTER_TAG,)
+        else:
+            assert dirs == gens
+
     def test_basis_vectors_put_centrals_last(self):
         vecs = GradedWindow(F(1)).basis_vectors(SW22)
         assert vecs[-2:] == (bv(SW22, KIND_C1), bv(SW22, KIND_C2))
@@ -93,6 +117,13 @@ class TestEvaluationMatrix:
         col = bv(SVIR0, KIND_L, 4)
         assert col in m.col_labels
         assert all((r, col) not in m.entries for r in m.row_labels)
+
+    @pytest.mark.parametrize("bound", [F(1), F(3, 2), F(3)])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
+    def test_columns_are_the_window_directions(self, family, bound):
+        target = el(family, (KIND_L, 1, 1))
+        window = GradedWindow(bound)
+        assert evaluation_matrix(target, window).col_labels == window.directions(family)
 
     def test_outer_column_present_only_for_sw22(self):
         target = el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
@@ -213,6 +244,23 @@ class TestCoordsAndSpan:
         assert span_contains((b1, b2), inside, window)
         assert not span_contains((b1, b2), outside, window)
         assert span_contains((), SuperDerivation.zero(SVIR0), window)
+
+    def test_basis_member_outside_the_window_is_an_error(self):
+        window = GradedWindow(F(2))
+        inside = SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1)))
+        outside = SuperDerivation.ad(el(SVIR0, (KIND_L, 5, 1)))
+        with pytest.raises(ValueError):
+            span_contains((inside, outside), inside, window)
+        # A d outside the window is simply not in the span.
+        assert not span_contains((inside, outside), outside, window)
+
+    def test_span_includes_the_outer_direction(self):
+        window = GradedWindow(F(1))
+        outer = SuperDerivation(SW22, Element.zero(SW22), F(1))
+        ad_i = SuperDerivation.ad(el(SW22, (KIND_I, 1, 1)))
+        assert span_contains((outer, ad_i), SuperDerivation(SW22, el(SW22, (KIND_I, 1, 2)),
+                                                             F(-3)), window)
+        assert not span_contains((ad_i,), outer, window)
 
     def test_span_contains_annihilator_members(self):
         window = GradedWindow(F(4))

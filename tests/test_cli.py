@@ -1,10 +1,16 @@
 """End-to-end CLI behaviour: output shapes, exit codes, precedence."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from superder.cli import ENV_SEED, run_command
+from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, run_command
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -265,6 +271,39 @@ class TestErrors:
         assert out == ""
         assert "non-negative" in err
 
+    @pytest.mark.parametrize("argv, position", [
+        (["bracket", "L[\u0663]", "L[-3]"], 2),
+        (["bracket", "\u00b2*L[1]", "L[0]"], 0),
+        (["jacobi", "--bound", "\u0662"], 0),
+    ])
+    def test_digits_are_ascii_only(self, capsys, argv, position):
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"]["type"] == "ParseError"
+        assert payload["error"]["position"] == position
+
+    @pytest.mark.parametrize("flag, value, position", [
+        ("--seed", "1_0", 1), ("--seed", "\u0663", 0), ("--seed", "1.0", 1),
+        ("--random", "1_0", 1), ("--random", "\u0663", 0),
+    ])
+    def test_integer_flags_follow_the_integer_rule(self, capsys, flag, value, position):
+        code, out, err = run(capsys, *TestGlobalize.HONEST, flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError (position %d):" % position)
+
+    @pytest.mark.parametrize("value", [" 1_0 ", "\u0663", "ten"])
+    def test_seed_variable_follows_the_integer_rule(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(ENV_SEED, value)
+        code, out, err = run(capsys, *TestGlobalize.HONEST)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ParseError (position")
+
+    def test_negative_seed_is_an_integer(self, capsys):
+        assert run(capsys, *TestGlobalize.HONEST, "--seed", "-4")[0] == 0
+
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "jacobi", "--config", "/no/such/file.json")
         assert code == 2
@@ -284,6 +323,48 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class _ClosedStdout:
+    """A stdout whose reader has gone: every write and flush fails."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedOutput:
+    @pytest.mark.parametrize("argv", [
+        ["annihilate", "--algebra", "svir0", "C", "--bound", "30"],
+        ["annihilate", "--algebra", "svir0", "C", "--bound", "30", "--json"],
+        ["lemma", "lemma3.3"],
+        # The error diagnostic of --json goes to the same closed stdout.
+        ["bracket", "--json", "L[2", "L[0]"],
+        ["--help"],
+    ])
+    def test_closed_stdout_ends_the_run_quietly(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+        code = run_command(argv)
+        assert code == EXIT_CLOSED_OUTPUT != 2
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_console_entry_point_with_a_closed_pipe(self, extra):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, PYTHONPATH=SRC)
+        env.pop("PYTHONUNBUFFERED", None)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-c", "from superder.cli import main; main()",
+                 "annihilate", "--algebra", "svir0", "C", "--bound", "30", *extra],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == EXIT_CLOSED_OUTPUT
+        assert proc.stderr == b""
 
 
 class TestLemma:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from superder import (
+    OUTER_TAG,
     AlgebraFamily,
     BasisVector,
     Element,
@@ -25,6 +26,7 @@ from superder.algebra import (
     KIND_L,
     KIND_Q,
 )
+from superder.derivations import has_outer
 
 import strategies as sg
 from helpers import reference_leibniz_defect
@@ -92,6 +94,39 @@ class TestSuperDerivation:
         a = data.draw(st.sampled_from(sg.NONZERO_RATIONALS), label="a")
         b = data.draw(st.sampled_from(sg.NONZERO_RATIONALS), label="b")
         assert d.apply(a * x + b * y) == a * d.apply(x) + b * d.apply(y)
+
+
+class TestCoords:
+    def test_sparse_inner_terms_then_outer_tag(self):
+        d = SuperDerivation(SW22, el(SW22, (KIND_I, 2, 3), (KIND_L, -1, 1)), F(5, 2))
+        coords = d.coords()
+        assert coords == {bv(SW22, KIND_L, -1): 1, bv(SW22, KIND_I, 2): 3,
+                          OUTER_TAG: F(5, 2)}
+        assert list(coords)[-1] == OUTER_TAG
+        assert SuperDerivation.ad(el(SW22, (KIND_G, 0, 2))).coords() \
+            == {bv(SW22, KIND_G, 0): 2}
+        assert SuperDerivation.zero(SVIR0).coords() == {}
+
+    def test_from_coords_builds_the_normal_form(self):
+        assert SuperDerivation.from_coords(SW22, {OUTER_TAG: 1}) == outer()
+        assert SuperDerivation.from_coords(SVIR0, {bv(SVIR0, KIND_G, 1): F(-1, 2)}) \
+            == SuperDerivation.ad(el(SVIR0, (KIND_G, 1, F(-1, 2))))
+        assert SuperDerivation.from_coords(SW22, {}).is_zero
+
+    def test_outer_coordinate_rejected_outside_sw22(self):
+        for family in (VIR, SVIR0, AlgebraFamily.SVIR12):
+            assert not has_outer(family)
+            with pytest.raises(ValueError):
+                SuperDerivation.from_coords(family, {OUTER_TAG: 1})
+        assert has_outer(SW22)
+
+    @given(data=st.data())
+    def test_round_trip(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        d = data.draw(sg.super_derivations(family), label="d")
+        coords = d.coords()
+        assert all(c != 0 for c in coords.values())
+        assert SuperDerivation.from_coords(family, coords) == d
 
 
 class TestRawLinearMap:

@@ -20,6 +20,7 @@ from superder import (
     parse_element,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_G, KIND_I, KIND_L
+from superder.expr import parse_integer
 
 import strategies as sg
 
@@ -96,6 +97,30 @@ class TestParseElement:
             parse_element(src, VIR)
         assert exc.value.position == position
         assert "(at position %d)" % position in str(exc.value)
+
+    @pytest.mark.parametrize("src, position", [
+        ("L[\u0663]", 2),         # Arabic-Indic digit three
+        ("\u00b2*L[1]", 0),       # superscript two
+        ("L[1_0]", 3),
+        ("\uff13*L[1]", 0),       # fullwidth digit three
+        ("1/\u0663*L[0]", 2),
+    ])
+    def test_digits_are_ascii_only(self, src, position):
+        with pytest.raises(ParseError) as exc:
+            parse_element(src, VIR)
+        assert exc.value.position == position
+
+    @pytest.mark.parametrize("src, value", [("0", 0), ("-12", -12), (" 7 ", 7)])
+    def test_integer_rule(self, src, value):
+        assert parse_integer(src) == value
+
+    @pytest.mark.parametrize("src, position", [
+        ("1_0", 1), ("\u0663", 0), ("1.0", 1), ("1/2", 1), ("", 0), ("-", 1),
+    ])
+    def test_integer_rule_rejects(self, src, position):
+        with pytest.raises(ParseError) as exc:
+            parse_integer(src)
+        assert exc.value.position == position
 
     @pytest.mark.parametrize("src", [
         "2L[0]",          # missing '*'

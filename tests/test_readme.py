@@ -1,9 +1,12 @@
 """The README's library quick start runs and prints what its comments say."""
 
+import ast
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import superder
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -37,3 +40,21 @@ def test_quick_start_prints_its_comments():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {"__name__": "readme"})
     assert out.getvalue().splitlines() == expected
+
+
+def _api_section():
+    text = README.read_text(encoding="utf-8")
+    _, found, rest = text.partition("\n## Library API\n")
+    assert found
+    return rest.split("\n## ", 1)[0]
+
+
+def test_every_export_is_documented():
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", _api_section()))
+    assert sorted(set(superder.__all__) - documented) == []
+    # The acceptance gate imports only documented names from the package root.
+    gate = ast.parse((README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    gate_names = {alias.name for node in ast.walk(gate)
+                  if isinstance(node, ast.ImportFrom) and node.module == "superder"
+                  for alias in node.names}
+    assert gate_names and gate_names <= set(superder.__all__)

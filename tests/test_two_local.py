@@ -27,6 +27,7 @@ from superder import (
     parse_element,
 )
 from superder.algebra import KIND_C, KIND_G, KIND_I, KIND_L, KIND_Q
+from superder.two_local import _pair_mask_basis
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -114,6 +115,15 @@ class TestHonestOracle:
             if not ans.local_map.is_zero:
                 saw_nonzero_mask = True
         assert saw_nonzero_mask
+
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    def test_zero_pair_mask_basis_is_every_window_direction(self, family):
+        window = GradedWindow(F(2))
+        zero = Element.zero(family)
+        expected = [SuperDerivation.ad(Element.basis(g)) for g in window.generators(family)]
+        if family is SW22:
+            expected.append(SuperDerivation(family, zero, F(1)))
+        assert _pair_mask_basis(zero, zero, window, family) == tuple(expected)
 
     def test_repeated_element_gets_consistent_deltas(self):
         d = SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1)))
