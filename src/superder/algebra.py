@@ -12,17 +12,19 @@ constants:
 * ``sw22``   - the super W(2,2) algebra, with even generators L_m, I_m, odd
   generators G_m, Q_m (all integral) and two central charges C1, C2.
 
-Every coefficient is a ``fractions.Fraction``.  There is no floating point
-anywhere in this package.
+Every element coefficient is a ``fractions.Fraction``.  The structure table
+(``bracket_terms``) returns its integral constants as ``int`` and the others
+as ``Fraction``, so the common products stay in machine integers; both are
+exact, and there is no floating point anywhere in this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -96,6 +98,7 @@ _FAMILY_KINDS = {
     AlgebraFamily.SVIR12: (KIND_L, KIND_G, KIND_C),
     AlgebraFamily.SW22: (KIND_L, KIND_G, KIND_I, KIND_Q, KIND_C1, KIND_C2),
 }
+_FAMILY_RANK = {family: rank for rank, family in enumerate(AlgebraFamily)}
 
 
 def sector_denominator(family: AlgebraFamily, kind: str) -> int:
@@ -105,29 +108,48 @@ def sector_denominator(family: AlgebraFamily, kind: str) -> int:
     return 2 if kind == KIND_G and family is AlgebraFamily.SVIR12 else 1
 
 
-@dataclass(frozen=True)
 class BasisVector:
     """One generator of an algebra family, identified by kind and index.
 
-    Central kinds carry no meaningful index; it is normalised to 0.
+    Central kinds carry no meaningful index; it is normalised to 0.  Every
+    legal index lies in (1/2)Z, so it is stored exactly as the int
+    ``2 * index``; the hash and the canonical sort key come from the int
+    tuple ``(kind rank, 2 * index, family rank)``, computed once.  Instances
+    are immutable.
     """
 
-    family: AlgebraFamily
-    kind: str
-    index: Fraction = Fraction(0)
+    __slots__ = ("family", "kind", "_twice", "_key", "_hash")
 
-    def __post_init__(self):
-        if self.kind not in self.family.kinds:
+    def __init__(self, family: AlgebraFamily, kind: str, index: Scalar = 0):
+        if kind not in family.kinds:
             raise KindNotInFamilyError(
-                "kind %r does not exist in family %r" % (self.kind, self.family.value))
-        idx = Fraction(self.index)
-        if self.kind in CENTRAL_KINDS:
-            idx = Fraction(0)
-        elif idx.denominator != sector_denominator(self.family, self.kind):
-            raise IndexNotInSectorError(
-                "index %s is outside the legal sector for %s in family %s"
-                % (idx, self.kind, self.family.value))
-        object.__setattr__(self, "index", idx)
+                "kind %r does not exist in family %r" % (kind, family.value))
+        if kind in CENTRAL_KINDS:
+            twice = 0
+        else:
+            idx = Fraction(index)
+            if idx.denominator != sector_denominator(family, kind):
+                raise IndexNotInSectorError(
+                    "index %s is outside the legal sector for %s in family %s"
+                    % (idx, kind, family.value))
+            twice = 2 * idx.numerator // idx.denominator
+        key = (_KIND_RANK[kind], twice, _FAMILY_RANK[family])
+        for name, value in (("family", family), ("kind", kind), ("_twice", twice),
+                            ("_key", key), ("_hash", hash(key))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("BasisVector is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("BasisVector is immutable")
+
+    def __reduce__(self):
+        return (BasisVector, (self.family, self.kind, self.index))
+
+    @property
+    def index(self) -> Fraction:
+        return Fraction(self._twice, 2)
 
     @property
     def parity(self) -> int:
@@ -143,11 +165,24 @@ class BasisVector:
             return self.kind
         return "%s[%s]" % (self.kind, self.index)
 
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.index)
+    def sort_key(self) -> Tuple[int, int, int]:
+        return self._key
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not BasisVector:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self):
+        return self._hash
 
     def __repr__(self):
         return "BasisVector(%s, %s)" % (self.family.value, self.token())
+
+
+_SORT_KEY = attrgetter("_key")
 
 
 class Element:
@@ -170,15 +205,14 @@ class Element:
                 raise FamilyMismatchError(
                     "basis vector %r does not belong to family %r"
                     % (bv.token(), family.value))
-            c = Fraction(c)
-            if c == 0:
-                continue
-            acc[bv] = acc.get(bv, Fraction(0)) + c
-        ordered = sorted(((b, c) for b, c in acc.items() if c != 0),
-                         key=lambda t: t[0].sort_key())
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if c:
+                prev = acc.get(bv)
+                acc[bv] = c if prev is None else prev + c
         self.family = family
-        self.terms = dict(ordered)
-        self._key = tuple(ordered)
+        self.terms = {b: acc[b] for b in sorted(acc, key=_SORT_KEY) if acc[b]}
+        self._key = tuple(self.terms.items())
 
     # -- construction helpers ------------------------------------------------
 
@@ -272,10 +306,6 @@ def parity_decompose(x: Element) -> Tuple[Element, Element]:
 # follow from super anti-symmetry  [u, v] = -(-1)^{|u||v|} [v, u].
 # ---------------------------------------------------------------------------
 
-_QUARTER = Fraction(1, 4)
-_THIRD = Fraction(1, 3)
-_TWELFTH = Fraction(1, 12)
-
 # The three shapes of the table above.
 _WITT = "witt"      # (m - n) X_{m+n} + delta_{m+n,0} (m^3 - m)/12 * Z
 _MODULE = "module"  # (m/2 - r) X_{m+r}
@@ -295,36 +325,47 @@ _STRUCTURE = {
 }
 
 
+def _ratio(num: int, den: int) -> Scalar:
+    """num/den exactly: an int when den divides num, else a Fraction."""
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
 def _shape_terms(family: AlgebraFamily, shape: str, kind: str,
-                 slot: Optional[int], m: Fraction, n: Fraction):
-    """The bracket of one table shape at indices (m, n), as (vector, coeff) pairs."""
+                 slot: Optional[int], m2: int, n2: int):
+    """The bracket of one table shape at indices (m, n) = (m2/2, n2/2), as
+    (vector, coeff) pairs; integral coefficients are ints."""
     if shape == _MODULE:
-        c = m / 2 - n
-        return ((BasisVector(family, kind, m + n), c),) if c else ()
+        c = _ratio(m2 - 2 * n2, 4)
+        return ((BasisVector(family, kind, _ratio(m2 + n2, 2)), c),) if c else ()
     if shape == _WITT:
-        lead, central = m - n, (m ** 3 - m) * _TWELFTH
+        m = m2 // 2
+        lead, central = (m2 - n2) // 2, _ratio(m ** 3 - m, 12)
     else:
-        lead, central = Fraction(2), (m ** 2 - _QUARTER) * _THIRD
+        lead, central = 2, _ratio(m2 * m2 - 1, 12)
     out = []
     if lead:
-        out.append((BasisVector(family, kind, m + n), lead))
-    if m + n == 0 and central:
+        out.append((BasisVector(family, kind, _ratio(m2 + n2, 2)), lead))
+    if m2 + n2 == 0 and central:
         out.append((BasisVector(family, family.central_kinds[slot]), central))
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, Fraction], ...]:
-    """Bracket of two basis vectors of one family, as (vector, coeff) pairs."""
+@lru_cache(maxsize=1 << 15)
+def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, Scalar], ...]:
+    """Bracket of two basis vectors of one family, as (vector, coeff) pairs.
+
+    Integral coefficients are ints and the others Fractions.
+    """
     entry = _STRUCTURE.get((u.kind, v.kind))
     if entry is not None:
-        return _shape_terms(u.family, *entry, u.index, v.index)
+        return _shape_terms(u.family, *entry, u._twice, v._twice)
     entry = _STRUCTURE.get((v.kind, u.kind))
     if entry is not None:
         # Super anti-symmetry: [u, v] = -(-1)^{|u||v|} [v, u].
         sign = 1 if (u.parity and v.parity) else -1
         return tuple((w, sign * c)
-                     for w, c in _shape_terms(u.family, *entry, v.index, u.index))
+                     for w, c in _shape_terms(u.family, *entry, v._twice, u._twice))
     return ()
 
 

@@ -14,6 +14,10 @@ the annihilator of a central element grows with every window (svir0 ``C``
 has dimension 10, 14 and 18 at bounds 2, 3 and 4), and a small bound can
 miss a direction entirely (``G[3]`` in svir0 has none at bound 4, while
 ``ad(L[6])`` appears at bound 6).
+
+``annihilator_basis`` memoises its results on (target, window) in a
+least-recently-used cache of at most 256 entries, so a long session that
+solves many distinct targets keeps bounded memory.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
@@ -115,25 +120,18 @@ class DerivationSpace:
         return span_contains(self.basis, d, self.window)
 
 
-_ANNIHILATOR_CACHE: Dict[Tuple[Element, GradedWindow], DerivationSpace] = {}
-
-
+@lru_cache(maxsize=256)
 def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     """Canonical basis of the derivations supported in the window that kill the target.
 
     The basis comes from the canonical kernel of the evaluation matrix, so it
     is deterministic; every member satisfies d.apply(target) == 0 exactly.
-    Results are memoised on (target, window).
+    Results are memoised on (target, window), keeping the 256 most recently
+    used.
     """
-    key = (target, window)
-    hit = _ANNIHILATOR_CACHE.get(key)
-    if hit is not None:
-        return hit
     basis = tuple(SuperDerivation.from_coords(target.family, vec)
                   for vec in kernel_basis(evaluation_matrix(target, window)))
-    space = DerivationSpace(basis, window, target)
-    _ANNIHILATOR_CACHE[key] = space
-    return space
+    return DerivationSpace(basis, window, target)
 
 
 def derivation_coords(d: SuperDerivation, window: GradedWindow) -> Optional[List[Fraction]]:

@@ -7,7 +7,7 @@ Element grammar (whitespace may separate tokens):
     gen      := ('L'|'G'|'I'|'Q') '[' index ']' | 'C' | 'C1' | 'C2'
     rational := ['-'] digits ['/' digits]
     index    := ['-'] digits ['/2']
-    digits   := ('0'..'9')+
+    digits   := ('0'..'9')+          (at most MAX_DIGITS in a row)
 
 The bare string "0" denotes the zero element.  Printing produces the
 canonical form: terms sorted by kind (L, G, I, Q, C, C1, C2) and then by
@@ -53,6 +53,11 @@ class ParseError(ValueError):
 # ASCII only: ``str.isdigit`` also accepts other scripts and superscripts.
 _DIGITS = frozenset("0123456789")
 
+# Longest digit run the grammar accepts.  It keeps every number well inside
+# the interpreter's limit on converting long digit strings to int, so an
+# over-long number is a parse error with a position.
+MAX_DIGITS = 1000
+
 
 class _Scanner:
     def __init__(self, src: str):
@@ -88,6 +93,8 @@ class _Scanner:
         self.skip_ws()
         start = self.pos
         while self.pos < len(self.src) and self.src[self.pos] in _DIGITS:
+            if self.pos - start == MAX_DIGITS:
+                raise ParseError("more than %d digits in a row" % MAX_DIGITS, self.pos)
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected digits", start)

@@ -1,5 +1,7 @@
 """Structure constants, canonical elements, and graded bracket laws."""
 
+import copy
+import pickle
 import sys
 from fractions import Fraction
 
@@ -21,7 +23,17 @@ from superder import (
     jacobi_sweep,
     parity_decompose,
 )
-from superder.algebra import KIND_C, KIND_C1, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
+from superder.algebra import (
+    CENTRAL_KINDS,
+    KIND_C,
+    KIND_C1,
+    KIND_C2,
+    KIND_G,
+    KIND_I,
+    KIND_L,
+    KIND_ORDER,
+    KIND_Q,
+)
 
 import strategies as sg
 from helpers import reference_bracket
@@ -73,6 +85,109 @@ class TestBasisVector:
         assert bv(SW22, KIND_L, 2).token() == "L[2]"
         assert bv(SVIR12, KIND_G, F(-3, 2)).token() == "G[-3/2]"
         assert bv(SW22, KIND_C1).token() == "C1"
+
+
+@st.composite
+def in_sector(draw, family=None, span=3):
+    """A random (family, kind, index) with the index in its kind's sector;
+    centrals get 0, the index they normalise to."""
+    family = family or draw(st.sampled_from(sg.ALL_FAMILIES))
+    kind = draw(st.sampled_from(family.kinds))
+    if kind in CENTRAL_KINDS:
+        return family, kind, F(0)
+    if kind == KIND_G and family is SVIR12:
+        return family, kind, F(2 * draw(st.integers(-span, span - 1)) + 1, 2)
+    return family, kind, F(draw(st.integers(-span, span)))
+
+
+class TestBasisVectorKey:
+    """The integer key (kind rank, 2 * index, family rank) against the plain
+    tuple (family, kind, Fraction index) it encodes."""
+
+    @given(a=in_sector(), b=in_sector())
+    def test_equality_and_hash_follow_the_tuple(self, a, b):
+        u, v = BasisVector(*a), BasisVector(*b)
+        assert (u == v) == (a == b)
+        assert (u != v) == (a != b)
+        if u == v:
+            assert hash(u) == hash(v)
+        assert len({u, v}) == len({a, b})
+        assert {u: 1}.get(BasisVector(*b)) == (1 if a == b else None)
+
+    @given(data=st.data())
+    def test_sort_key_is_kind_rank_then_index(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        triples = data.draw(st.lists(in_sector(family, span=6), max_size=12),
+                            label="triples")
+        vecs = [BasisVector(*t) for t in triples]
+        by_key = sorted(vecs, key=lambda b: b.sort_key())
+        by_tuple = sorted(vecs, key=lambda b: (KIND_ORDER.index(b.kind), b.index))
+        assert by_key == by_tuple
+
+    @given(t=in_sector(span=10 ** 6))
+    def test_index_round_trips_as_a_fraction(self, t):
+        family, kind, index = t
+        u = BasisVector(family, kind, index)
+        assert type(u.index) is Fraction and u.index == index
+        assert BasisVector(family, kind, u.index) == u
+        assert (u.family, u.kind) == (family, kind)
+
+    @given(t=in_sector())
+    def test_repr_and_token(self, t):
+        family, kind, index = t
+        u = BasisVector(family, kind, index)
+        token = kind if kind in CENTRAL_KINDS else "%s[%s]" % (kind, index)
+        assert u.token() == token
+        assert repr(u) == "BasisVector(%s, %s)" % (family.value, token)
+
+    @given(t=in_sector())
+    def test_immutable(self, t):
+        u = BasisVector(*t)
+        for attr in ("family", "kind", "index", "sort_key", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(u, attr, 1)
+            with pytest.raises(AttributeError):
+                delattr(u, attr)
+        assert BasisVector(*t) == u and hash(BasisVector(*t)) == hash(u)
+
+    def test_copies_and_pickles_compare_equal(self):
+        u = bv(SVIR12, KIND_G, F(-3, 2))
+        assert copy.deepcopy(u) == u
+        assert pickle.loads(pickle.dumps(u)) == u
+
+    def test_int_and_fraction_indices_agree(self):
+        assert BasisVector(SW22, KIND_Q, 2) == BasisVector(SW22, KIND_Q, F(4, 2))
+        assert BasisVector(SW22, KIND_Q, 2) != BasisVector(SW22, KIND_I, 2)
+        assert BasisVector(SVIR0, KIND_L, 2) != BasisVector(SW22, KIND_L, 2)
+
+
+def _exact_terms(x):
+    return all(type(c) is Fraction for c in x.terms.values())
+
+
+class TestExactness:
+    """Coefficients stay exact: elements store exactly Fraction, the table
+    returns int or Fraction constants."""
+
+    @given(data=st.data())
+    def test_element_coefficients_are_fractions(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        coeff = st.one_of(st.integers(-5, 5), st.sampled_from(sg.RATIONALS))
+        terms = data.draw(st.lists(st.tuples(sg.basis_vectors(family), coeff),
+                                   max_size=6), label="terms")
+        x = Element(family, terms)
+        y = data.draw(sg.elements(family), label="y")
+        k = data.draw(coeff, label="k")
+        for value in (x, bracket(x, y), bracket(y, x), x + y, x - y, -x, k * x,
+                      x * k, Element.basis(BasisVector(family, KIND_L, 1), True)):
+            assert _exact_terms(value)
+
+    def test_whole_number_sums_stay_fractions(self):
+        x = Element(SVIR12, ((bv(SVIR12, KIND_L, 0), F(1, 2)),
+                             (bv(SVIR12, KIND_L, 0), F(1, 2)),
+                             (bv(SVIR12, KIND_L, 1), 3)))
+        assert x.terms == {bv(SVIR12, KIND_L, 0): 1, bv(SVIR12, KIND_L, 1): 3}
+        assert _exact_terms(x)
 
 
 class TestElement:
@@ -177,7 +292,12 @@ class TestBracketLaws:
         vecs = GradedWindow(F(3)).basis_vectors(family)
         for u in vecs:
             for v in vecs:
-                assert dict(bracket_terms(u, v)) == reference_bracket(u, v), (u, v)
+                terms = bracket_terms(u, v)
+                assert dict(terms) == reference_bracket(u, v), (u, v)
+                # Exact constants: an int when integral, else a Fraction;
+                # never a float or a bool.
+                for _, c in terms:
+                    assert type(c) is (int if c.denominator == 1 else Fraction), (u, v, c)
 
     def test_grading_of_bracket_terms(self, family):
         vecs = [bv(family, k, i) for k in family.noncentral_kinds

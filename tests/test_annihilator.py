@@ -188,6 +188,17 @@ class TestAnnihilatorBasis:
         first = annihilator_basis(target, GradedWindow(F(3)))
         assert annihilator_basis(target, GradedWindow(F(3))) is first
 
+    def test_memo_is_bounded(self):
+        target = el(SVIR0, (KIND_G, 1, 1))
+        first = annihilator_basis(target, GradedWindow(F(1)))
+        # More than 256 distinct targets, each solved once.
+        for i in range(300):
+            annihilator_basis(el(SVIR0, (KIND_L, i, 1)), GradedWindow(F(1)))
+            assert annihilator_basis.cache_info().currsize <= 256
+        again = annihilator_basis(target, GradedWindow(F(1)))
+        assert again == first
+        assert annihilator_basis(target, GradedWindow(F(1))) is again
+
     @given(data=st.data())
     def test_every_basis_member_kills_the_target(self, data):
         family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")

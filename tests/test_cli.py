@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, run_command
+from superder.expr import MAX_DIGITS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -292,6 +293,20 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ParseError (position %d):" % position)
+
+    @pytest.mark.parametrize("argv, position", [
+        (["jacobi", "--bound", "1" * (MAX_DIGITS + 1)], MAX_DIGITS),
+        (["annihilate", "L[%s]" % ("1" * 5000)], 2 + MAX_DIGITS),
+        (TestGlobalize.HONEST + ["--seed", "1" * 5000], MAX_DIGITS),
+    ])
+    def test_over_long_digit_runs(self, capsys, argv, position):
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["position"] == position
+        assert "set_int_max_str_digits" not in error["message"]
 
     @pytest.mark.parametrize("value", [" 1_0 ", "\u0663", "ten"])
     def test_seed_variable_follows_the_integer_rule(self, capsys, monkeypatch, value):

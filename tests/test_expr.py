@@ -20,7 +20,7 @@ from superder import (
     parse_element,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_G, KIND_I, KIND_L
-from superder.expr import parse_integer
+from superder.expr import MAX_DIGITS, parse_integer, parse_rational
 
 import strategies as sg
 
@@ -121,6 +121,29 @@ class TestParseElement:
         with pytest.raises(ParseError) as exc:
             parse_integer(src)
         assert exc.value.position == position
+
+    def test_digit_runs_up_to_the_cap_parse(self):
+        run = "7" * MAX_DIGITS
+        assert parse_integer("-" + run) == -int(run)
+        assert parse_rational("1/" + run) == F(1, int(run))
+        assert parse_element(run + "*L[%s]" % run, VIR) \
+            == Element(VIR, ((bv(VIR, KIND_L, int(run)), int(run)),))
+
+    @pytest.mark.parametrize("parse, prefix, suffix", [
+        (lambda src: parse_element(src, VIR), "L[", "]"),
+        (lambda src: parse_element(src, VIR), "", "*L[0]"),
+        (parse_rational, "1/", ""),
+        (parse_rational, "-", ""),
+        (parse_integer, "", ""),
+        (parse_integer, " -", " "),
+    ])
+    def test_digit_runs_past_the_cap_are_parse_errors(self, parse, prefix, suffix):
+        # The interpreter's own limit (4300 digits) would raise a ValueError
+        # with no position; the scanner stops at the first digit past the cap.
+        with pytest.raises(ParseError) as exc:
+            parse(prefix + "1" * (MAX_DIGITS + 1) + suffix)
+        assert exc.value.position == len(prefix) + MAX_DIGITS
+        assert "sys.set_int_max_str_digits" not in str(exc.value)
 
     @pytest.mark.parametrize("src", [
         "2L[0]",          # missing '*'
