@@ -20,12 +20,13 @@ exact, and there is no floating point anywhere in this package.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from operator import attrgetter
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -373,15 +374,36 @@ def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
                        ys: Iterable[Tuple[BasisVector, Scalar]]) -> dict:
     """Add the bracket of two (basis vector, coefficient) sequences into acc.
 
-    ``ys`` is traversed once per member of ``xs``, so it must be re-iterable.
-    Zero sums stay in ``acc``; returns ``acc``.
+    ``acc`` maps basis vectors to unreduced ``[numerator, denominator]`` int
+    pairs with a positive denominator; numerators are added directly when
+    the denominators agree, so the loop does no gcd.  Zero sums stay in
+    ``acc``; ``reduced_terms`` turns it into Fractions.  Returns ``acc``.
     """
+    ys = [(v, c.numerator, c.denominator) for v, c in ys]
     for u, cu in xs:
-        for v, cv in ys:
-            cuv = cu * cv
+        un, ud = cu.numerator, cu.denominator
+        for v, vn, vd in ys:
+            n0, d0 = un * vn, ud * vd
             for w, c in bracket_terms(u, v):
-                acc[w] = acc.get(w, 0) + cuv * c
+                if type(c) is int:
+                    n, d = n0 * c, d0
+                else:
+                    n, d = n0 * c.numerator, d0 * c.denominator
+                pair = acc.get(w)
+                if pair is None:
+                    acc[w] = [n, d]
+                elif pair[1] == d:
+                    pair[0] += n
+                else:
+                    pair[0] = pair[0] * d + n * pair[1]
+                    pair[1] *= d
     return acc
+
+
+def reduced_terms(acc: dict):
+    """The nonzero entries of an ``accumulate_bracket`` dict, each as one
+    reduced Fraction."""
+    return ((w, Fraction(n, d)) for w, (n, d) in acc.items() if n)
 
 
 def bracket(x: Element, y: Element) -> Element:
@@ -390,4 +412,5 @@ def bracket(x: Element, y: Element) -> Element:
         raise FamilyMismatchError(
             "cannot bracket elements of families %r and %r"
             % (x.family.value, y.family.value))
-    return Element(x.family, accumulate_bracket({}, x.terms.items(), y.terms.items()))
+    return Element(x.family, reduced_terms(
+        accumulate_bracket({}, x.terms.items(), y.terms.items())))

@@ -28,6 +28,7 @@ from .algebra import AlgebraFamily, bracket
 from .annihilator import GradedWindow, annihilator_basis
 from .derivations import leibniz_defect
 from .expr import (
+    MAX_DIGITS,
     format_derivation,
     format_element,
     fraction_json,
@@ -51,11 +52,20 @@ EXIT_CLOSED_OUTPUT = 141
 ALGEBRA_TAGS = tuple(family.value for family in AlgebraFamily)
 
 
+def _config_int(text: str) -> int:
+    """A JSON integer of the config file, held to the grammar's digit cap so
+    that an over-long number is an error about the file."""
+    if len(text.lstrip("-")) > MAX_DIGITS:
+        raise ValueError("config file holds an integer of more than %d digits"
+                         % MAX_DIGITS)
+    return int(text)
+
+
 def _load_config(path: Optional[str]) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        config = json.load(fh)
+        config = json.load(fh, parse_int=_config_int)
     if not isinstance(config, dict):
         raise ValueError("config file must hold a JSON object")
     return config

@@ -31,6 +31,7 @@ from .algebra import (
     accumulate_bracket,
     bracket,
     parity_decompose,
+    reduced_terms,
 )
 
 _OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
@@ -188,7 +189,8 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
     family = x.family
     if y.family is not family:
         raise FamilyMismatchError("defect arguments must share one family")
-    acc = dict(d.apply(bracket(x, y)).terms)
+    acc = {w: [c.numerator, c.denominator]
+           for w, c in d.apply(bracket(x, y)).terms.items()}
     accumulate_bracket(acc, ((b, -c) for b, c in d.apply(x).terms.items()),
                        y.terms.items())
     dy = [d.apply(yr) for yr in parity_decompose(y)]
@@ -200,4 +202,4 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
         for b, c in x.terms.items():
             sign = -1 if (p and b.parity) else 1
             accumulate_bracket(acc, ((b, -sign * c),), dp_y)
-    return Element(family, acc)
+    return Element(family, reduced_terms(acc))

@@ -2,7 +2,11 @@
 
 The sweeps exhaustively confirm super anti-symmetry and the graded Jacobi
 identity over a bounded index range, and the Leibniz rule for the
-distinguished outer derivation of sw22.  The named suites reproduce the
+distinguished outer derivation of sw22.  The anti-symmetry and Jacobi
+sweeps are the implementation check of the structure table: they read each
+constant they need once through ``bracket_terms``, into a table of ints
+over numbered vectors (``_window_table``), and count violations with int
+arithmetic only.  The named suites reproduce the
 annihilator facts that drive globalization: annihilators of single odd
 generators, of even-plus-odd probe elements, and of mixed even elements,
 each with an exact predicted basis or dimension.
@@ -10,6 +14,7 @@ each with an exact predicted basis or dimension.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -21,7 +26,6 @@ from .algebra import (
     AlgebraFamily,
     BasisVector,
     Element,
-    accumulate_bracket,
     bracket_terms,
 )
 from .annihilator import GradedWindow, annihilator_basis
@@ -29,46 +33,108 @@ from .derivations import OUTER_TAG, SuperDerivation, leibniz_defect
 from .expr import fraction_json
 
 
+def _window_table(family: AlgebraFamily, bound):
+    """The structure constants the window sweeps need, as one int table.
+
+    Reads each needed constant once through ``bracket_terms``: every pair
+    of window vectors, then each window vector against every vector those
+    brackets reach, in both orders.  Vectors get int ids, window vectors
+    first in window order.  Returns ``(parities, rows)``: ``parities[i]`` of
+    window vector i, and ``rows[a][b]`` = the bracket of vectors a and b as
+    ((id, constant), ...), defined for a window vector a against any b, and
+    for a reached vector a against a window vector b.  Brackets with reached
+    vectors may give vectors further out; those get ids but no rows.
+
+    Every constant is multiplied by ``s``, the lcm of all their
+    denominators, so the table holds ints.  That is exact for counting
+    violations: the sweeps take sums of products of at most two constants,
+    so each Jacobiator is scaled by s**2 and each antisymmetry sum by s,
+    and a scaled sum is zero exactly when the true one is.
+    """
+    window = GradedWindow(Fraction(bound)).basis_vectors(family)
+    raw = {(u, v): bracket_terms(u, v) for u in window for v in window}
+    inside = set(window)
+    outside = list(dict.fromkeys(w for terms in raw.values() for w, _ in terms
+                                 if w not in inside))
+    for u in window:
+        for x in outside:
+            raw[u, x] = bracket_terms(u, x)
+            raw[x, u] = bracket_terms(x, u)
+    scale = math.lcm(*(c.denominator for terms in raw.values() for _, c in terms))
+    everything = window + tuple(outside)
+    ids = {vec: i for i, vec in enumerate(everything)}
+
+    def row(u, columns):
+        out = []
+        for v in columns:
+            merged = {}
+            for w, c in raw[u, v]:
+                i = ids.setdefault(w, len(ids))
+                merged[i] = merged.get(i, 0) + c.numerator * (scale // c.denominator)
+            out.append(tuple((i, c) for i, c in merged.items() if c))
+        return out
+
+    rows = [row(u, everything) for u in window] + [row(x, window) for x in outside]
+    return [u.parity for u in window], rows
+
+
 def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of [u,v] = -(-1)^{|u||v|} [v,u] over basis pairs."""
-    vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
+    parities, rows = _window_table(family, bound)
+    n = len(parities)
     violations = 0
-    pairs = 0
-    for u in vecs:
-        for v in vecs:
-            pairs += 1
+    for u in range(n):
+        ru = rows[u]
+        for v in range(n):
             # [u,v] + (-1)^{|u||v|} [v,u] must vanish.
-            sign = -1 if (u.parity and v.parity) else 1
-            acc = accumulate_bracket({}, ((u, 1),), ((v, 1),))
-            accumulate_bracket(acc, ((v, sign),), ((u, 1),))
+            sign = -1 if (parities[u] and parities[v]) else 1
+            acc = {}
+            for y, c in ru[v]:
+                acc[y] = acc.get(y, 0) + c
+            for y, c in rows[v][u]:
+                acc[y] = acc.get(y, 0) + sign * c
             if any(acc.values()):
                 violations += 1
-    return violations, pairs
+    return violations, n * n
 
 
 def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of the graded Jacobi identity over basis triples.
 
     Uses the ad-Leibniz form [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|} [v,[u,w]],
-    accumulating the difference of the two sides into one dict.
+    accumulating the difference of the two sides into one int dict.  A
+    triple whose brackets [u,v], [v,w] and [u,w] are all zero holds
+    trivially; it is counted and not evaluated.
     """
-    vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
+    parities, rows = _window_table(family, bound)
+    n = len(parities)
     violations = 0
-    triples = 0
-    for u in vecs:
-        u_one = ((u, 1),)
-        for v in vecs:
-            # v with the coefficient -(-1)^{|u||v|} of its term below.
-            v_signed = ((v, 1 if (u.parity and v.parity) else -1),)
-            uv = bracket_terms(u, v)
-            for w in vecs:
-                triples += 1
-                acc = accumulate_bracket({}, u_one, bracket_terms(v, w))
-                accumulate_bracket(acc, uv, ((w, -1),))
-                accumulate_bracket(acc, v_signed, bracket_terms(u, w))
+    for u in range(n):
+        ru = rows[u]
+        for v in range(n):
+            rv = rows[v]
+            uv = ru[v]
+            # The coefficient -(-1)^{|u||v|} of [v,[u,w]] on the left side.
+            sign = 1 if (parities[u] and parities[v]) else -1
+            for w in range(n):
+                vw = rv[w]
+                uw = ru[w]
+                if not (uv or vw or uw):
+                    continue
+                acc = {}
+                for x, c in vw:
+                    for y, d in ru[x]:
+                        acc[y] = acc.get(y, 0) + c * d
+                for x, c in uv:
+                    for y, d in rows[x][w]:
+                        acc[y] = acc.get(y, 0) - c * d
+                for x, c in uw:
+                    c *= sign
+                    for y, d in rv[x]:
+                        acc[y] = acc.get(y, 0) + c * d
                 if any(acc.values()):
                     violations += 1
-    return violations, triples
+    return violations, n ** 3
 
 
 def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:

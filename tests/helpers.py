@@ -9,6 +9,10 @@ and row spans is what the cross-check tests assert.
 one branch per formula, plus graded anti-symmetry for reversed orders; the
 package evaluates the same constants from a table of three shapes.
 
+``reference_antisymmetry_sweep`` and ``reference_jacobi_sweep`` are the
+package's earlier sweeps: one Fraction dict per pair or triple, filled term
+by term from ``bracket_terms``; the package sweeps a scaled int table.
+
 ``reference_leibniz_defect`` builds the parity components of a linear map
 from a per-basis-vector table of same-parity and flipped images; the package
 reads them from the map's values on the parity parts of its argument.
@@ -16,7 +20,8 @@ reads them from the map's values on the parity parts of its argument.
 
 from fractions import Fraction
 
-from superder import AlgebraFamily, BasisVector, Element, bracket
+from superder import AlgebraFamily, BasisVector, Element, GradedWindow, bracket
+from superder import algebra
 
 
 def dense_rref(rows):
@@ -148,3 +153,44 @@ def reference_leibniz_defect(d, x, y):
             sign = -1 if (p, q) == (1, 1) else 1
             total = total - bracket(component(p, xq), y) - sign * bracket(xq, dp_y)
     return total
+
+
+def _accumulate(acc, xs, ys):
+    """Add the bracket of two (basis vector, coefficient) sequences into the
+    Fraction dict acc.  Reads ``bracket_terms`` from ``superder.algebra`` at
+    each call, so a test that rebinds it there is seen here too."""
+    for u, cu in xs:
+        for v, cv in ys:
+            for w, c in algebra.bracket_terms(u, v):
+                acc[w] = acc.get(w, 0) + cu * cv * c
+    return acc
+
+
+def reference_antisymmetry_sweep(family, bound):
+    """(violations, pairs) of [u,v] + (-1)^{|u||v|} [v,u] = 0 over the window."""
+    vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
+    violations = 0
+    for u in vecs:
+        for v in vecs:
+            sign = -1 if (u.parity and v.parity) else 1
+            acc = _accumulate({}, ((u, 1),), ((v, 1),))
+            _accumulate(acc, ((v, sign),), ((u, 1),))
+            violations += any(acc.values())
+    return violations, len(vecs) ** 2
+
+
+def reference_jacobi_sweep(family, bound):
+    """(violations, triples) of [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|} [v,[u,w]]
+    over the window."""
+    vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
+    violations = 0
+    for u in vecs:
+        for v in vecs:
+            v_signed = ((v, 1 if (u.parity and v.parity) else -1),)
+            uv = algebra.bracket_terms(u, v)
+            for w in vecs:
+                acc = _accumulate({}, ((u, 1),), algebra.bracket_terms(v, w))
+                _accumulate(acc, uv, ((w, -1),))
+                _accumulate(acc, v_signed, algebra.bracket_terms(u, w))
+                violations += any(acc.values())
+    return violations, len(vecs) ** 3

@@ -6,7 +6,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superder import (
@@ -36,7 +36,7 @@ from superder.algebra import (
 )
 
 import strategies as sg
-from helpers import reference_bracket
+from helpers import reference_antisymmetry_sweep, reference_bracket, reference_jacobi_sweep
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -336,19 +336,31 @@ class TestBracketProperties:
         assert bracket(x + z, y) == bracket(x, y) + bracket(z, y)
 
 
-def _double_bracket(monkeypatch, pairs):
+def _scale_bracket(monkeypatch, pairs, factor):
     """Rebind bracket_terms in every superder module so that the given
-    ordered basis pairs bracket to twice their true value."""
+    ordered basis pairs (every pair, for None) bracket to ``factor`` times
+    their true value."""
     original = bracket_terms
 
-    def doubled(u, v):
+    def scaled(u, v):
         terms = original(u, v)
-        return tuple((w, 2 * c) for w, c in terms) if (u, v) in pairs else terms
+        if pairs is None or (u, v) in pairs:
+            return tuple((w, factor * c) for w, c in terms)
+        return terms
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "superder" \
                 and getattr(module, "bracket_terms", None) is original:
-            monkeypatch.setattr(module, "bracket_terms", doubled)
+            monkeypatch.setattr(module, "bracket_terms", scaled)
+
+
+def _bracketing_pairs(family, bound):
+    """Ordered pairs with a nonzero bracket that a sweep at this bound reads:
+    a window vector against a vector of the doubled window, in either order."""
+    window = GradedWindow(bound).basis_vectors(family)
+    wide = GradedWindow(2 * bound).basis_vectors(family)
+    return tuple(pair for u in window for x in wide for pair in ((u, x), (x, u))
+                 if bracket_terms(*pair))
 
 
 class TestSweepsDetectViolations:
@@ -356,12 +368,37 @@ class TestSweepsDetectViolations:
     G0 = bv(SVIR0, KIND_G, 0)
 
     def test_one_sided_change_breaks_antisymmetry(self, monkeypatch):
-        _double_bracket(monkeypatch, {(self.L1, self.G0)})
+        _scale_bracket(monkeypatch, {(self.L1, self.G0)}, 2)
         assert antisymmetry_sweep(SVIR0, 2) == (2, 121)
 
     def test_two_sided_change_breaks_only_jacobi(self, monkeypatch):
-        _double_bracket(monkeypatch, {(self.L1, self.G0), (self.G0, self.L1)})
+        _scale_bracket(monkeypatch, {(self.L1, self.G0), (self.G0, self.L1)}, 2)
         assert antisymmetry_sweep(SVIR0, 2) == (0, 121)
         violations, triples = jacobi_sweep(SVIR0, 2)
         assert triples == 1331
         assert violations == 72
+
+    @pytest.mark.parametrize("factor", [F(3, 5), F(5, 7)])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
+    def test_scaling_the_whole_table_keeps_both_laws(self, monkeypatch, family, factor):
+        """Both laws are homogeneous in the constants, so a table scaled by a
+        factor whose denominator no true constant has still satisfies them;
+        only an exact rescaling to ints keeps every relation."""
+        _scale_bracket(monkeypatch, None, factor)
+        assert antisymmetry_sweep(family, 2)[0] == 0
+        assert jacobi_sweep(family, 2)[0] == 0
+
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_sweeps_match_the_reference(self, family, data):
+        """The scaled int table counts what per-triple Fraction sums count,
+        also when one pair's constants are scaled by 0, -1, 2, 3/5 or 5/7."""
+        bound = data.draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2))), label="bound")
+        pair = data.draw(st.sampled_from(_bracketing_pairs(family, bound)), label="pair")
+        factor = data.draw(st.sampled_from((0, -1, 2, F(3, 5), F(5, 7))), label="factor")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _scale_bracket(monkeypatch, {pair}, factor)
+            assert antisymmetry_sweep(family, bound) \
+                == reference_antisymmetry_sweep(family, bound)
+            assert jacobi_sweep(family, bound) == reference_jacobi_sweep(family, bound)

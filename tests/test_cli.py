@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, run_command
+from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, _load_config, run_command
 from superder.expr import MAX_DIGITS
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -330,6 +330,28 @@ class TestErrors:
         code, _, err = run(capsys, "jacobi", "--config", str(path))
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_config_integers_up_to_the_digit_cap(self, tmp_path, sign):
+        path = tmp_path / "conf.json"
+        value = sign + "7" * MAX_DIGITS
+        path.write_text('{"seed": %s}' % value)
+        assert _load_config(str(path)) == {"seed": int(value)}
+
+    def test_config_integer_over_the_digit_cap(self, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text('{"seed": -%s}' % ("7" * (MAX_DIGITS + 1)))
+        with pytest.raises(ValueError, match="config file holds an integer of more than"):
+            _load_config(str(path))
+
+    def test_config_integer_beyond_the_interpreter_limit(self, capsys, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text('{"bound": %s}' % ("1" * 5000))
+        code, out, err = run(capsys, "jacobi", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: config file holds an integer")
+        assert "set_int_max_str_digits" not in err
 
     def test_argparse_usage_errors(self, capsys):
         assert run(capsys, "bracket", "L[0]")[0] == 2

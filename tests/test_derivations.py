@@ -1,5 +1,6 @@
 """Normal-form derivations, the raw-map escape hatch, and Leibniz defects."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from superder import (
     FamilyMismatchError,
     RawLinearMap,
     SuperDerivation,
+    bracket,
     leibniz_defect,
     outer_action,
 )
@@ -29,7 +31,7 @@ from superder.algebra import (
 from superder.derivations import has_outer
 
 import strategies as sg
-from helpers import reference_leibniz_defect
+from helpers import reference_bracket, reference_leibniz_defect
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -217,3 +219,47 @@ class TestLeibnizDefect:
         x = data.draw(sg.elements(family), label="x")
         y = data.draw(sg.elements(family), label="y")
         assert leibniz_defect(d, x, y).is_zero
+
+
+# Coefficients whose denominators differ, so sums of products meet unequal
+# denominators in the bracket accumulator.
+MIXED = tuple(sign * c for c in (F(1, 3), F(1, 4), F(5, 6), F(7)) for sign in (1, -1))
+
+
+def mixed_elements(family, bound=2):
+    pairs = st.tuples(sg.basis_vectors(family, bound), st.sampled_from(MIXED))
+    return st.lists(pairs, max_size=4).map(lambda ts: Element(family, ts))
+
+
+def mixed_maps(family):
+    derivations = st.builds(
+        lambda e, lam: SuperDerivation(family, e, lam if has_outer(family) else 0),
+        mixed_elements(family), st.sampled_from(MIXED))
+    raw = st.dictionaries(sg.basis_vectors(family, 1), mixed_elements(family, 1),
+                          max_size=4).map(lambda t: RawLinearMap(family, t))
+    return st.one_of(derivations, raw)
+
+
+def assert_canonical(z):
+    """Nonzero reduced Fraction coefficients, in canonical term order."""
+    assert list(z.terms) == sorted(z.terms, key=BasisVector.sort_key)
+    for c in z.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+class TestPairAccumulator:
+    @given(data=st.data())
+    def test_mixed_denominators(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        x = data.draw(mixed_elements(family), label="x")
+        y = data.draw(mixed_elements(family), label="y")
+        d = data.draw(mixed_maps(family), label="d")
+        value = bracket(x, y)
+        assert value == Element(family, [
+            (w, a * b * c) for u, a in x.terms.items() for v, b in y.terms.items()
+            for w, c in reference_bracket(u, v).items()])
+        assert_canonical(value)
+        defect = leibniz_defect(d, x, y)
+        assert defect == reference_leibniz_defect(d, x, y)
+        assert_canonical(defect)
