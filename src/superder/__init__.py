@@ -43,7 +43,6 @@ from .two_local import (
     OracleDefectError,
     TestSet,
     TwoLocalOracle,
-    UnsupportedFamilyError,
     anchor_pair,
     checked_query,
     globalize,
@@ -72,7 +71,6 @@ __all__ = [
     "SuperDerivation",
     "TestSet",
     "TwoLocalOracle",
-    "UnsupportedFamilyError",
     "ZeroTargetError",
     "anchor_pair",
     "annihilator_basis",

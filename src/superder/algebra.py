@@ -164,7 +164,8 @@ class BasisVector:
     def token(self) -> str:
         if self.kind in CENTRAL_KINDS:
             return self.kind
-        return "%s[%s]" % (self.kind, self.index)
+        t = self._twice
+        return "%s[%s]" % (self.kind, t // 2 if t % 2 == 0 else "%d/2" % t)
 
     def sort_key(self) -> Tuple[int, int, int]:
         return self._key

@@ -231,7 +231,8 @@ def _signed_terms(terms: Iterable[Tuple[str, Fraction]]) -> str:
     """``c*token`` terms joined by their signs, unit coefficients suppressed."""
     parts = []
     for token, c in terms:
-        core = token if abs(c) == 1 else "%s*%s" % (abs(c), token)
+        size = abs(c)
+        core = token if size == 1 else "%s*%s" % (size, token)
         sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
         parts.append(sign + core)
     return " ".join(parts) or "0"

@@ -151,12 +151,3 @@ def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
     return tuple({cols[j]: val for j, val in row.items()}
                  for _, row in _reduced_echelon(vectors.values()))
 
-
-def matvec(m: LabeledMatrix, v: Dict[Hashable, Fraction]) -> Dict[Hashable, Fraction]:
-    """Apply the matrix to a coefficient vector over the column labels."""
-    acc: Dict[Hashable, Fraction] = {}
-    for (r, c), value in m.entries.items():
-        coef = v.get(c)
-        if coef:
-            acc[r] = acc.get(r, Fraction(0)) + value * coef
-    return {r: val for r, val in acc.items() if val != 0}

@@ -8,12 +8,12 @@ reconstructs, when possible, one single superderivation that matches the
 oracle's assignment everywhere, and it always returns a certificate with
 per-element evidence.
 
-The algorithm queries a family-specific anchor pair of odd generators whose
-window annihilators are so small that the response determines the inner part
-of the answer.  For the sw22 family one extra even element recovers the
-outer coefficient through an exact residual proportionality test.  Each test
-element is then checked against a fresh query, so dishonest oracles fail
-with a concrete witness.
+The algorithm queries a family-specific pair of anchor elements whose window
+annihilators meet trivially (in sw22 only in the outer direction D), so the
+response determines the inner part of the answer.  For the sw22 family one
+extra even element recovers the outer coefficient through an exact residual
+proportionality test.  Each test element is then checked against a fresh
+query, so dishonest oracles fail with a concrete witness.
 """
 
 from __future__ import annotations
@@ -23,17 +23,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import (
-    KIND_G,
-    KIND_I,
-    KIND_L,
-    KIND_Q,
-    AlgebraFamily,
-    BasisVector,
-    Element,
-)
+from .algebra import KIND_L, AlgebraFamily, BasisVector, Element
 from .annihilator import GradedWindow, annihilator_basis, image_matrix
 from .derivations import (
     MapLike,
@@ -42,12 +35,8 @@ from .derivations import (
     _combination,
     outer_action,
 )
-from .expr import format_element
+from .expr import format_element, parse_element
 from .linalg import kernel_basis
-
-
-class UnsupportedFamilyError(ValueError):
-    """The family has no anchor pair (globalization needs odd generators)."""
 
 
 class OracleDefectError(RuntimeError):
@@ -177,25 +166,22 @@ class Certificate:
 
 # -- anchors -------------------------------------------------------------------
 
+# Per family: two anchors whose window annihilators meet trivially (in sw22
+# only in the outer direction D), and the even probe that exposes the outer
+# coefficient where D exists.
+_ANCHORS = {
+    AlgebraFamily.VIR: ("L[1]", "L[2]", None),
+    AlgebraFamily.SVIR0: ("G[0]", "G[1]", None),
+    AlgebraFamily.SVIR12: ("G[1/2]", "G[3/2]", None),
+    AlgebraFamily.SW22: ("G[0]", "G[1]", "I[0] + Q[0]"),
+}
+
+
+@lru_cache(maxsize=None)
 def anchor_pair(family: AlgebraFamily) -> Tuple[Element, Element, Optional[Element]]:
-    """The anchor elements used by globalize: two odd generators, and for
-    sw22 the extra even element that exposes the outer coefficient."""
-    if family is AlgebraFamily.SVIR0:
-        return (Element.basis(BasisVector(family, KIND_G, Fraction(0))),
-                Element.basis(BasisVector(family, KIND_G, Fraction(1))),
-                None)
-    if family is AlgebraFamily.SVIR12:
-        return (Element.basis(BasisVector(family, KIND_G, Fraction(1, 2))),
-                Element.basis(BasisVector(family, KIND_G, Fraction(3, 2))),
-                None)
-    if family is AlgebraFamily.SW22:
-        probe = (Element.basis(BasisVector(family, KIND_I, Fraction(0)))
-                 + Element.basis(BasisVector(family, KIND_Q, Fraction(0))))
-        return (Element.basis(BasisVector(family, KIND_G, Fraction(0))),
-                Element.basis(BasisVector(family, KIND_G, Fraction(1))),
-                probe)
-    raise UnsupportedFamilyError(
-        "family %r has no odd generators to anchor on" % family.value)
+    """The family's anchors (a1, a2, probe), parsed from ``_ANCHORS``."""
+    return tuple(None if src is None else parse_element(src, family)
+                 for src in _ANCHORS[family])
 
 
 # -- globalization ---------------------------------------------------------------
@@ -360,13 +346,9 @@ def _shift_map_oracle(family: AlgebraFamily) -> TwoLocalOracle:
 
 def _pairwise_inconsistent_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """Each response is a genuine inner derivation, but the choice depends on
-    the pair: ad(L_0) when a distinguished generator (the second anchor, L_1
-    in vir) is an argument, ad(2*L_0) otherwise.  No single derivation
-    matches both behaviours."""
-    if family is AlgebraFamily.VIR:
-        special = Element.basis(BasisVector(family, KIND_L, Fraction(1)))
-    else:
-        special = anchor_pair(family)[1]
+    the pair: ad(L_0) when the second anchor a2 is an argument, ad(2*L_0)
+    otherwise.  No single derivation matches both behaviours."""
+    special = anchor_pair(family)[1]
     ad_l0 = SuperDerivation.ad(Element.basis(BasisVector(family, KIND_L, Fraction(0))))
     ad_2l0 = 2 * ad_l0
 
@@ -407,19 +389,13 @@ def homogeneity_check(oracle: TwoLocalOracle,
                       samples: Sequence[Tuple[Fraction, Element]]) -> List[bool]:
     """Check Delta(k * x) == k * Delta(x) for each (k, x) sample.
 
-    Delta is read through (anchor, e) queries for anchored families and
-    through (e, e) queries for the plain Virasoro family.  Scalars must be
-    nonzero.
+    Delta is read through (a1, e) queries, a1 the family's first anchor.
+    Scalars must be nonzero.
     """
-    family = oracle.family
-    if family is AlgebraFamily.VIR:
-        def read(e: Element) -> Element:
-            return checked_query(oracle, e, e).delta_x
-    else:
-        a1 = anchor_pair(family)[0]
+    a1 = anchor_pair(oracle.family)[0]
 
-        def read(e: Element) -> Element:
-            return checked_query(oracle, a1, e).delta_y
+    def read(e: Element) -> Element:
+        return checked_query(oracle, a1, e).delta_y
 
     results = []
     for k, x in samples:

@@ -16,6 +16,9 @@ by term from ``bracket_terms``; the package sweeps a scaled int table.
 ``reference_leibniz_defect`` builds the parity components of a linear map
 from a per-basis-vector table of same-parity and flipped images; the package
 reads them from the map's values on the parity parts of its argument.
+
+``matvec`` applies a ``LabeledMatrix`` to a vector from its raw entries; the
+kernel tests check ``m @ v == 0`` with it.
 """
 
 from fractions import Fraction
@@ -81,6 +84,17 @@ def labeled_dense(m):
     """Dense rows of a LabeledMatrix, reading only its raw entry data."""
     return [[m.entries.get((r, c), Fraction(0)) for c in m.col_labels]
             for r in m.row_labels]
+
+
+def matvec(m, v):
+    """A LabeledMatrix applied to a coefficient vector over its column labels,
+    as a dict of nonzero entries over the row labels."""
+    acc = {}
+    for (r, c), value in m.entries.items():
+        coef = v.get(c)
+        if coef:
+            acc[r] = acc.get(r, Fraction(0)) + value * coef
+    return {r: val for r, val in acc.items() if val != 0}
 
 
 def _listed_bracket(u, v):

@@ -132,6 +132,17 @@ class TestGlobalize:
         assert payload["verdict"] == "fail"
         assert payload["failure_witness"] is not None
 
+    def test_vir_globalizes_on_the_default_family(self, capsys):
+        code, out, _ = run(capsys, "globalize", "--oracle", "honest:ad(L[1])")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["family"] == "vir"
+        assert payload["verdict"] == "pass"
+        assert payload["candidate"] == {"inner": "L[1]", "lambda": "0"}
+        code, out, _ = run(capsys, "globalize", "--oracle", "adversarial:shift_map")
+        assert code == 1
+        assert json.loads(out)["failure_witness"] is not None
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, *self.HONEST, "--seed", "7")
         _, second, _ = run(capsys, *self.HONEST, "--seed", "7")
@@ -230,11 +241,6 @@ class TestErrors:
         code, _, err = run(capsys, "annihilate", "0")
         assert code == 2
         assert "ZeroTargetError" in err
-
-    def test_globalize_needs_odd_generators(self, capsys):
-        code, _, err = run(capsys, "globalize", "--oracle", "honest:ad(L[1])")
-        assert code == 2
-        assert "UnsupportedFamilyError" in err
 
     @pytest.mark.parametrize("spec", ["honest", "adversarial:nope", "x:y"])
     def test_bad_oracle_spec(self, capsys, spec):

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from superder.algebra import AlgebraFamily
 from superder.annihilator import GradedWindow, evaluation_matrix
 from superder.expr import parse_element
-from superder.linalg import LabeledMatrix, kernel_basis, matvec, rank
+from superder.linalg import LabeledMatrix, kernel_basis, rank
 
-from helpers import dense_nullspace, dense_rank, labeled_dense
+from helpers import dense_nullspace, dense_rank, labeled_dense, matvec
 
 F = Fraction
 

@@ -52,6 +52,7 @@ def _api_section():
 def test_every_export_is_documented():
     documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", _api_section()))
     assert sorted(set(superder.__all__) - documented) == []
+    assert "(%d in all," % len(superder.__all__) in _api_section()
     # The acceptance gate imports only documented names from the package root.
     gate = ast.parse((README.parent / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
     gate_names = {alias.name for node in ast.walk(gate)

@@ -17,7 +17,6 @@ from superder import (
     SuperDerivation,
     TestSet,
     TwoLocalOracle,
-    UnsupportedFamilyError,
     anchor_pair,
     checked_query,
     globalize,
@@ -50,6 +49,8 @@ def small_test_set(seed=0):
 
 class TestAnchors:
     def test_anchor_pairs(self):
+        assert anchor_pair(VIR) == (el(VIR, (KIND_L, 1, 1)),
+                                    el(VIR, (KIND_L, 2, 1)), None)
         assert anchor_pair(SVIR0) == (el(SVIR0, (KIND_G, 0, 1)),
                                       el(SVIR0, (KIND_G, 1, 1)), None)
         assert anchor_pair(SVIR12) == (el(SVIR12, (KIND_G, F(1, 2), 1)),
@@ -58,9 +59,20 @@ class TestAnchors:
         assert (a1, a2) == (el(SW22, (KIND_G, 0, 1)), el(SW22, (KIND_G, 1, 1)))
         assert probe == el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
 
-    def test_vir_has_no_anchors(self):
-        with pytest.raises(UnsupportedFamilyError):
-            anchor_pair(VIR)
+    @pytest.mark.parametrize("bound", [2, 3, 5, 6])
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    def test_anchor_annihilators_meet_trivially(self, family, bound):
+        """ann(a1) and ann(a2) meet in 0, or only in D for sw22, and the
+        probe's common annihilator with a1 holds no outer part, so the
+        responses pin down the inner part and mu."""
+        window = GradedWindow(F(bound))
+        a1, a2, probe = anchor_pair(family)
+        expected = ((SuperDerivation(SW22, Element.zero(SW22), F(1)),)
+                    if family is SW22 else ())
+        assert _pair_mask_basis(a1, a2, window, family) == expected
+        if probe is not None:
+            for d in _pair_mask_basis(a1, probe, window, family):
+                assert d.outer_lambda == 0
 
 
 class TestCheckedQuery:
@@ -134,6 +146,15 @@ class TestHonestOracle:
 
 
 class TestGlobalizeHonest:
+    def test_vir_recovers_the_derivation(self):
+        d = SuperDerivation.ad(el(VIR, (KIND_L, 1, 1), (KIND_L, -3, 2)))
+        oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=5)
+        cert = globalize(oracle, small_test_set(5))
+        assert cert.verdict == "pass"
+        assert cert.mu == 0
+        assert cert.candidate == d
+        assert all(rec.passed for rec in cert.checks)
+
     def test_svir0_recovers_the_derivation(self):
         d = SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1), (KIND_G, 0, 1)))
         oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=42)
@@ -191,7 +212,7 @@ class TestGlobalizeDishonest:
         assert not cert.checks[0].passed
 
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
-    @pytest.mark.parametrize("family", [SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_adversaries_fail_with_witness(self, kind, family, seed):
         oracle = make_adversarial_oracle(kind, family)
@@ -223,7 +244,7 @@ class TestHomogeneity:
 
     def test_vir_reading_path(self):
         oracle = make_adversarial_oracle("pairwise_inconsistent", VIR)
-        special = el(VIR, (KIND_L, 1, 1))
+        special = el(VIR, (KIND_L, 2, 1))
         assert homogeneity_check(oracle, [(F(2), special)]) == [False]
         honest = make_honest_oracle(SuperDerivation.ad(el(VIR, (KIND_L, 2, 1))),
                                     GradedWindow(F(3)), seed=4)
