@@ -191,11 +191,13 @@ class Element:
     """A finitely supported rational linear combination of basis vectors.
 
     Canonical form: like terms merged, zero coefficients dropped, terms kept
-    sorted by (kind, index).  Instances are immutable by convention; all
+    sorted by (kind, index).  The constructor brings any term list to that
+    form; ``_canonical`` wraps a term map that is already in it (brackets,
+    negation, nonzero scaling).  Instances are immutable by convention; all
     arithmetic returns fresh objects.
     """
 
-    __slots__ = ("family", "terms", "_key")
+    __slots__ = ("family", "terms")
 
     def __init__(self, family: AlgebraFamily,
                  terms: Union[Mapping[BasisVector, Scalar],
@@ -214,7 +216,19 @@ class Element:
                 acc[bv] = c if prev is None else prev + c
         self.family = family
         self.terms = {b: acc[b] for b in sorted(acc, key=_SORT_KEY) if acc[b]}
-        self._key = tuple(self.terms.items())
+
+    @classmethod
+    def _canonical(cls, family: AlgebraFamily, terms: dict) -> "Element":
+        """The element whose term map is ``terms``, taken as it is.
+
+        ``terms`` must already be canonical: nonzero ``Fraction``
+        coefficients on distinct basis vectors of ``family``, in canonical
+        order.  Nothing is checked, merged or sorted.
+        """
+        self = object.__new__(cls)
+        self.family = family
+        self.terms = terms
+        return self
 
     # -- construction helpers ------------------------------------------------
 
@@ -224,7 +238,8 @@ class Element:
 
     @classmethod
     def basis(cls, bv: BasisVector, coeff: Scalar = 1) -> "Element":
-        return cls(bv.family, ((bv, coeff),))
+        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        return cls._canonical(bv.family, {bv: c} if c else {})
 
     # -- queries -------------------------------------------------------------
 
@@ -257,12 +272,15 @@ class Element:
                                           ((b, -c) for b, c in other.terms.items())))
 
     def __neg__(self) -> "Element":
-        return Element(self.family, ((b, -c) for b, c in self.terms.items()))
+        return Element._canonical(self.family, {b: -c for b, c in self.terms.items()})
 
     def __mul__(self, scalar) -> "Element":
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return Element(self.family, ((b, c * scalar) for b, c in self.terms.items()))
+        if not scalar:
+            return Element(self.family)
+        return Element._canonical(self.family,
+                                  {b: c * scalar for b, c in self.terms.items()})
 
     __rmul__ = __mul__
 
@@ -271,10 +289,10 @@ class Element:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
-        return self.family is other.family and self._key == other._key
+        return self.family is other.family and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.family, self._key))
+        return hash((self.family, tuple(self.terms.items())))
 
     def __repr__(self):
         if self.is_zero:
@@ -401,10 +419,15 @@ def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
     return acc
 
 
-def reduced_terms(acc: dict):
-    """The nonzero entries of an ``accumulate_bracket`` dict, each as one
-    reduced Fraction."""
-    return ((w, Fraction(n, d)) for w, (n, d) in acc.items() if n)
+def reduced_terms(acc: dict) -> dict:
+    """The nonzero entries of an ``accumulate_bracket`` dict in canonical
+    order, each as one reduced Fraction: a term map for ``Element._canonical``."""
+    out = {}
+    for w in sorted(acc, key=_SORT_KEY):
+        n, d = acc[w]
+        if n:
+            out[w] = Fraction(n, d)
+    return out
 
 
 def bracket(x: Element, y: Element) -> Element:
@@ -413,5 +436,5 @@ def bracket(x: Element, y: Element) -> Element:
         raise FamilyMismatchError(
             "cannot bracket elements of families %r and %r"
             % (x.family.value, y.family.value))
-    return Element(x.family, reduced_terms(
+    return Element._canonical(x.family, reduced_terms(
         accumulate_bracket({}, x.terms.items(), y.terms.items())))

@@ -17,7 +17,8 @@ miss a direction entirely (``G[3]`` in svir0 has none at bound 4, while
 
 ``annihilator_basis`` memoises its results on (target, window) in a
 least-recently-used cache of at most 256 entries, so a long session that
-solves many distinct targets keeps bounded memory.
+solves many distinct targets keeps bounded memory; ``GradedWindow.generators``
+keeps its tuples the same way.
 """
 
 from __future__ import annotations
@@ -61,8 +62,13 @@ class GradedWindow:
         top = int(den * self.bound)
         return [Fraction(m, den) for m in range(-top, top + 1) if math.gcd(m, den) == 1]
 
+    @lru_cache(maxsize=256)
     def generators(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
-        """Non-central basis vectors inside the window, in canonical order."""
+        """Non-central basis vectors inside the window, in canonical order.
+
+        Computed once per (window, family) and kept, like the annihilator
+        memo, for the 256 most recently used pairs.
+        """
         return tuple(BasisVector(family, kind, idx) for kind in family.noncentral_kinds
                      for idx in self._indices(family, kind))
 

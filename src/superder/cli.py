@@ -22,6 +22,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .algebra import AlgebraFamily, bracket
@@ -251,6 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``run_command`` of this process shares, built on the
+    first call; ``parse_args`` keeps no state between command lines."""
+    return build_parser()
+
+
 def _print_error(exc: BaseException, as_json: bool,
                  position: Optional[int] = None) -> None:
     info = {"type": type(exc).__name__, "message": str(exc)}
@@ -276,9 +284,8 @@ def run_command(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     as_json = getattr(args, "as_json", False)

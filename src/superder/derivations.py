@@ -51,8 +51,8 @@ def outer_action(x: Element) -> Element:
     Fixes I_m, Q_r and C2 and kills everything else.  Only sw22 has those
     kinds, so for the other families the result is zero.
     """
-    return Element(x.family, ((b, c) for b, c in x.terms.items()
-                              if b.kind in _OUTER_FIXED_KINDS))
+    return Element._canonical(x.family, {b: c for b, c in x.terms.items()
+                                         if b.kind in _OUTER_FIXED_KINDS})
 
 
 @dataclass(frozen=True)
@@ -202,4 +202,4 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
         for b, c in x.terms.items():
             sign = -1 if (p and b.parity) else 1
             accumulate_bracket(acc, ((b, -sign * c),), dp_y)
-    return Element(family, reduced_terms(acc))
+    return Element._canonical(family, reduced_terms(acc))

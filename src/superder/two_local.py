@@ -64,7 +64,13 @@ class TwoLocalOracle:
 
 
 def checked_query(oracle: TwoLocalOracle, x: Element, y: Element) -> OracleAnswer:
-    """Query the oracle and verify the response against its own deltas."""
+    """Query the oracle and verify the response against its own deltas.
+
+    The returned map is evaluated here, at x and at y, and each value must
+    equal the reported delta exactly.  An honest oracle reports the values
+    of its underlying derivation, so for it this check proves that the
+    random mask added to the response kills both queried points.
+    """
     answer = oracle.query(x, y)
     if answer.local_map.apply(x) != answer.delta_x:
         raise OracleDefectError(
@@ -81,9 +87,17 @@ _TEST_COEFFS = (Fraction(-3), Fraction(-2), Fraction(-1), Fraction(-1, 2),
                 Fraction(1, 2), Fraction(1), Fraction(2), Fraction(3))
 
 
+# Largest accepted random test count: ``globalize`` queries the oracle once
+# per test element, so a larger count is refused before any is built.
+MAX_RANDOM_TESTS = 10_000
+
+
 @dataclass(frozen=True)
 class TestSet:
-    """The elements a certificate checks: a basis sweep plus random probes."""
+    """The elements a certificate checks: a basis sweep plus random probes.
+
+    ``random_count`` must lie between 0 and ``MAX_RANDOM_TESTS``.
+    """
 
     # Not a test case, despite the name pytest would otherwise collect.
     __test__ = False
@@ -95,6 +109,9 @@ class TestSet:
     def __post_init__(self):
         if self.random_count < 0:
             raise ValueError("the random test count must be non-negative")
+        if self.random_count > MAX_RANDOM_TESTS:
+            raise ValueError("the random test count must be at most %d"
+                             % MAX_RANDOM_TESTS)
 
     def elements(self, family: AlgebraFamily) -> Tuple[Element, ...]:
         pool = self.basis_bound.basis_vectors(family)
@@ -116,6 +133,16 @@ class CheckRecord:
     expected: Element
     got: Element
     passed: bool
+
+    def to_dict(self) -> dict:
+        # A passing check has got == expected, so one string serves both.
+        expected = format_element(self.expected)
+        return {
+            "element": format_element(self.element),
+            "expected": expected,
+            "got": expected if self.passed else format_element(self.got),
+            "pass": self.passed,
+        }
 
 
 @dataclass(frozen=True)
@@ -146,15 +173,7 @@ class Certificate:
             "family": self.family.value,
             "candidate": candidate,
             "mu": str(self.mu),
-            "checks": [
-                {
-                    "element": format_element(rec.element),
-                    "expected": format_element(rec.expected),
-                    "got": format_element(rec.got),
-                    "pass": rec.passed,
-                }
-                for rec in self.checks
-            ],
+            "checks": [rec.to_dict() for rec in self.checks],
             "verdict": self.verdict,
             "failure_witness": (None if self.failure_witness is None
                                 else format_element(self.failure_witness)),
@@ -286,8 +305,10 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
 
     Each query returns d plus a seeded pseudo-random combination of the
     window derivations annihilating both arguments, so responses vary from
-    pair to pair while the reported deltas always equal the true values.
-    A mask window of bound 0 disables masking entirely.
+    pair to pair, while the reported deltas are the true values d.apply(x)
+    and d.apply(y).  The masked map itself is evaluated only by
+    ``checked_query``, which thereby checks the mask.  A mask window of
+    bound 0 disables masking entirely.
     """
     family = d.family
 
@@ -298,7 +319,7 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
             rng = random.Random(_pair_seed(seed, family, x, y))
             coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
             local = _combination(family, ((1, d), *zip(coeffs, basis)))
-        return OracleAnswer(local, local.apply(x), local.apply(y))
+        return OracleAnswer(local, d.apply(x), d.apply(y))
 
     return TwoLocalOracle(family, query)
 

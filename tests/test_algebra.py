@@ -1,6 +1,7 @@
 """Structure constants, canonical elements, and graded bracket laws."""
 
 import copy
+import math
 import pickle
 import sys
 from fractions import Fraction
@@ -21,6 +22,7 @@ from superder import (
     bracket,
     bracket_terms,
     jacobi_sweep,
+    outer_action,
     parity_decompose,
 )
 from superder.algebra import (
@@ -226,6 +228,41 @@ class TestElement:
             el(SW22, (KIND_I, 0, 3), (KIND_Q, 0, 2), (KIND_C2, 0, 1)))
         assert even == el(SW22, (KIND_I, 0, 3), (KIND_C2, 0, 1))
         assert odd == el(SW22, (KIND_Q, 0, 2))
+
+
+def _assert_canonical(value):
+    """``value`` is exactly what the checking constructor makes of its terms."""
+    rebuilt = Element(value.family, list(value.terms.items()))
+    assert value == rebuilt
+    assert hash(value) == hash(rebuilt)
+    assert list(value.terms) == list(rebuilt.terms)
+    for c in value.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
+
+
+class TestCanonicalConstructor:
+    """Results built from terms that are already canonical, without the
+    checks of ``Element.__init__``, equal what those checks would give."""
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_results_are_canonical(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        x = data.draw(sg.elements(family), label="x")
+        y = data.draw(sg.elements(family), label="y")
+        k = data.draw(st.one_of(st.integers(-3, 3), st.sampled_from(sg.RATIONALS)),
+                      label="k")
+        u = data.draw(sg.basis_vectors(family), label="u")
+        for value in (bracket(x, y), -x, k * x, x * k, outer_action(x),
+                      Element.basis(u, k)):
+            _assert_canonical(value)
+
+    def test_zero_scalar_and_coefficient_give_zero(self):
+        x = el(SW22, (KIND_L, 1, 2), (KIND_Q, -1, F(1, 3)))
+        assert (0 * x).terms == {} and (x * F(0)).terms == {}
+        assert Element.basis(bv(SW22, KIND_I, 2), 0) == Element.zero(SW22)
+        assert hash(-Element.zero(SW22)) == hash(Element.zero(SW22))
 
 
 class TestBracketTable:

@@ -10,6 +10,7 @@ import pytest
 
 from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, _load_config, run_command
 from superder.expr import MAX_DIGITS
+from superder.two_local import MAX_RANDOM_TESTS, TestSet
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -278,6 +279,14 @@ class TestErrors:
         assert out == ""
         assert "non-negative" in err
 
+    def test_random_count_over_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(TestSet, "elements", None)  # building any would fail
+        code, out, err = run(capsys, *TestGlobalize.HONEST,
+                             "--random", str(MAX_RANDOM_TESTS + 1))
+        assert code == 2
+        assert out == ""
+        assert "at most %d" % MAX_RANDOM_TESTS in err
+
     @pytest.mark.parametrize("argv, position", [
         (["bracket", "L[\u0663]", "L[-3]"], 2),
         (["bracket", "\u00b2*L[1]", "L[0]"], 0),
@@ -366,6 +375,42 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+class TestSharedParser:
+    """Every run_command of a process parses with one parser, which must
+    carry nothing from one command line to the next."""
+
+    def test_built_on_first_use_not_at_import(self):
+        probe = ("import superder.cli as cli; print(cli._parser.cache_info().currsize); "
+                 "cli.run_command(['bracket', 'L[1]', 'L[0]']); "
+                 "cli.run_command(['bracket', 'L[2]', 'L[0]']); "
+                 "print(cli._parser.cache_info())")
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
+        lines = out.stdout.splitlines()
+        assert lines[0] == "0"
+        assert lines[-1] == "CacheInfo(hits=1, misses=1, maxsize=1, currsize=1)"
+
+    def test_a_flag_does_not_stick(self, capsys):
+        argv = ["globalize", "--algebra", "svir0", "--oracle", "honest:ad(L[1])",
+                "--bound", "2", "--random", "3"]
+        _, fresh, _ = run(capsys, *argv)
+        _, seeded, _ = run(capsys, *argv, "--seed", "5")
+        _, again, _ = run(capsys, *argv)
+        assert seeded != fresh
+        assert again == fresh
+
+    def test_usage_error_then_valid_command(self, capsys):
+        assert run(capsys, "bracket", "L[0]")[0] == 2
+        assert run(capsys, "bracket", "L[1]", "L[0]") == (0, "L[1]\n", "")
+
+    def test_help_twice(self, capsys):
+        code, first, _ = run(capsys, "--help")
+        assert code == 0
+        code, second, _ = run(capsys, "--help")
+        assert code == 0
+        assert first == second and first.startswith("usage: superder")
 
 
 class _ClosedStdout:

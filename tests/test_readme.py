@@ -59,3 +59,18 @@ def test_every_export_is_documented():
                   if isinstance(node, ast.ImportFrom) and node.module == "superder"
                   for alias in node.names}
     assert gate_names and gate_names <= set(superder.__all__)
+
+
+def test_every_documented_name_is_exported():
+    """The reverse of the check above: each backticked identifier in the API
+    section names an export, an attribute or base class of an exported class,
+    the value of an exported string (``D``), or the package itself."""
+    exports = {name: getattr(superder, name) for name in superder.__all__}
+    classes = [obj for obj in exports.values() if isinstance(obj, type)]
+    known = set(exports) | {superder.__name__}
+    known |= {value for value in exports.values() if isinstance(value, str)}
+    known |= {base.__name__ for cls in classes for base in cls.__mro__}
+    documented = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", _api_section()))
+    stale = {name for name in documented - known
+             if not any(hasattr(cls, name) for cls in classes)}
+    assert sorted(stale) == []

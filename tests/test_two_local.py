@@ -25,8 +25,9 @@ from superder import (
     make_honest_oracle,
     parse_element,
 )
-from superder.algebra import KIND_C, KIND_G, KIND_I, KIND_L, KIND_Q
-from superder.two_local import _pair_mask_basis
+from superder.algebra import KIND_C, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
+from superder import two_local
+from superder.two_local import MAX_RANDOM_TESTS, _pair_mask_basis
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -136,6 +137,28 @@ class TestHonestOracle:
         if family is SW22:
             expected.append(SuperDerivation(family, zero, F(1)))
         assert _pair_mask_basis(zero, zero, window, family) == tuple(expected)
+
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    def test_a_mask_that_does_not_kill_the_anchors_is_a_defect(self, family, monkeypatch):
+        """The oracle reports d's values and checked_query evaluates the
+        masked map, so a mask outside the pair's annihilator is caught."""
+        wrong = SuperDerivation.ad(el(family, (KIND_L, 1, 1)))
+        a1, a2, _ = anchor_pair(family)
+        assert not (wrong.apply(a1).is_zero and wrong.apply(a2).is_zero)
+        monkeypatch.setattr(two_local, "_pair_mask_basis", lambda *args: (wrong,))
+        monkeypatch.setattr(two_local, "_MASK_COEFFS", (F(1),))
+        d = SuperDerivation.ad(el(family, (KIND_L, -2, 3)))
+        oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=0)
+        with pytest.raises(OracleDefectError):
+            globalize(oracle, small_test_set())
+
+    def test_deltas_are_the_derivation_values(self):
+        d = SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1), (KIND_Q, -1, 2)), F(3))
+        oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=0)
+        x, y = el(SW22, (KIND_G, 0, 1)), el(SW22, (KIND_I, 2, 1), (KIND_C2, 0, 1))
+        ans = oracle.query(x, y)
+        assert ans.local_map != d
+        assert (ans.delta_x, ans.delta_y) == (d.apply(x), d.apply(y))
 
     def test_repeated_element_gets_consistent_deltas(self):
         d = SuperDerivation.ad(el(SVIR0, (KIND_L, 1, 1)))
@@ -312,6 +335,14 @@ class TestTestSet:
         assert el(SVIR0, (KIND_C, 0, 1)) in first
         for b in GradedWindow(F(2)).basis_vectors(SVIR0):
             assert Element.basis(b) in first
+
+    def test_random_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(TestSet, "elements", None)  # building any would fail
+        TestSet(GradedWindow(F(2)), MAX_RANDOM_TESTS, 0)
+        with pytest.raises(ValueError, match="at most %d" % MAX_RANDOM_TESTS):
+            TestSet(GradedWindow(F(2)), MAX_RANDOM_TESTS + 1, 0)
+        with pytest.raises(ValueError, match="non-negative"):
+            TestSet(GradedWindow(F(2)), -1, 0)
 
     def test_seed_changes_random_tail(self):
         a = TestSet(GradedWindow(F(2)), 8, 1).elements(SW22)
