@@ -258,12 +258,6 @@ class TestCanonicalConstructor:
                       Element.basis(u, k)):
             _assert_canonical(value)
 
-    def test_zero_scalar_and_coefficient_give_zero(self):
-        x = el(SW22, (KIND_L, 1, 2), (KIND_Q, -1, F(1, 3)))
-        assert (0 * x).terms == {} and (x * F(0)).terms == {}
-        assert Element.basis(bv(SW22, KIND_I, 2), 0) == Element.zero(SW22)
-        assert hash(-Element.zero(SW22)) == hash(Element.zero(SW22))
-
 
 class TestBracketTable:
     def test_even_part_with_central_charge(self):
