@@ -5,7 +5,9 @@ directions are the coordinates of ``SuperDerivation.coords``: every
 non-central basis vector whose index has absolute value at most the bound,
 then the outer direction ``OUTER_TAG`` in families that have one.  Images of
 the generators may reach indices up to twice the bound; rows of the
-evaluation matrix follow the data and are never clipped.
+evaluation matrix follow the data and are never clipped.  Each generator
+column is one ``accumulate_bracket`` of the generator against the target,
+read straight into a term map; ``image_matrix`` sorts the rows once.
 
 Choosing the bound is the caller's responsibility, and no default is known
 to be enough.  The CLI defaults to 2 * (largest absolute index in the
@@ -33,7 +35,7 @@ from .algebra import (
     AlgebraFamily,
     BasisVector,
     Element,
-    bracket,
+    accumulate_bracket,
     sector_denominator,
 )
 from .derivations import OUTER_TAG, SuperDerivation, has_outer, outer_action
@@ -83,15 +85,14 @@ class GradedWindow:
                                                for kind in family.central_kinds)
 
 
-def image_matrix(images: Dict[Hashable, Element]) -> LabeledMatrix:
-    """Matrix whose column ``tag`` holds the coordinates of ``images[tag]``.
+def image_matrix(images: Dict[Hashable, Dict[BasisVector, Fraction]]) -> LabeledMatrix:
+    """Matrix whose column ``tag`` holds the term map ``images[tag]``.
 
     Columns follow the dict order; rows are the basis vectors that appear in
-    the images, in canonical order.
+    the images, sorted once into canonical order.
     """
-    row_set = {b for img in images.values() for b in img.terms}
-    rows = tuple(sorted(row_set, key=lambda b: b.sort_key()))
-    entries = {(b, tag): c for tag, img in images.items() for b, c in img.terms.items()}
+    entries = {(b, tag): c for tag, terms in images.items() for b, c in terms.items()}
+    rows = tuple(sorted({b for b, _ in entries}, key=BasisVector.sort_key))
     return LabeledMatrix(rows, tuple(images), entries)
 
 
@@ -104,9 +105,13 @@ def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
     """
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
-    return image_matrix({tag: outer_action(target) if tag == OUTER_TAG
-                         else bracket(Element.basis(tag), target)
-                         for tag in window.directions(target.family)})
+    terms = target.terms.items()
+    images = {g: {w: Fraction(n, d) for w, (n, d) in
+                  accumulate_bracket({}, ((g, 1),), terms).items() if n}
+              for g in window.generators(target.family)}
+    if has_outer(target.family):
+        images[OUTER_TAG] = outer_action(target).terms
+    return image_matrix(images)
 
 
 @dataclass(frozen=True)

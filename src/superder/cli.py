@@ -8,9 +8,10 @@ verification suites).
 
 Exit codes: 0 for success or a passing verdict, 1 for a mathematical
 failure (violations found, failed certificate, defective oracle), 2 for
-usage, parse or config-file errors, and 141 (128 + SIGPIPE, as a shell
-reports it) when the reader of stdout closes it before the output is
-written.  A JSON config file may supply default algebra, bound, and seed;
+usage, parse or config-file errors and for window bounds over their caps
+(``MAX_JACOBI_BOUND``, ``MAX_ANNIHILATE_BOUND``, ``MAX_GLOBALIZE_BOUND``),
+and 141 (128 + SIGPIPE, as a shell reports it) when the reader of stdout
+closes it before the output is written.  A JSON config file may supply default algebra, bound, and seed;
 the SUPERDER_SEED environment variable overrides the config seed and an
 explicit --seed flag beats both.
 """
@@ -52,6 +53,14 @@ ENV_SEED = "SUPERDER_SEED"
 EXIT_CLOSED_OUTPUT = 141
 ALGEBRA_TAGS = tuple(family.value for family in AlgebraFamily)
 
+# Largest accepted window bounds.  The Jacobi sweep is cubic in its bound,
+# an annihilator solve about quadratic, and globalize queries the oracle
+# once per test basis vector and solves in the mask window on every query,
+# so a larger bound exits 2 before any window is built.
+MAX_JACOBI_BOUND = 16
+MAX_ANNIHILATE_BOUND = 128
+MAX_GLOBALIZE_BOUND = 64
+
 
 def _config_int(text: str) -> int:
     """A JSON integer of the config file, held to the grammar's digit cap so
@@ -77,12 +86,21 @@ def _resolve_family(args, config: dict) -> AlgebraFamily:
     return AlgebraFamily.from_tag(tag)
 
 
-def _resolve_bound(args, config: dict, fallback: Fraction) -> Fraction:
+def _capped(bound: Fraction, cap: int, what: str) -> Fraction:
+    if bound > cap:
+        raise ValueError("%s must be at most %d, got %s" % (what, cap, bound))
+    return bound
+
+
+def _resolve_bound(args, config: dict, fallback: Fraction, cap: int) -> Fraction:
+    """The flag's bound, else the config's, else the fallback, at most ``cap``."""
     if args.bound is not None:
-        return parse_rational(args.bound)
-    if "bound" in config:
-        return parse_rational(str(config["bound"]))
-    return fallback
+        bound = parse_rational(args.bound)
+    elif "bound" in config:
+        bound = parse_rational(str(config["bound"]))
+    else:
+        bound = fallback
+    return _capped(bound, cap, "the window bound")
 
 
 def _resolve_seed(args, config: dict) -> int:
@@ -115,7 +133,7 @@ def _cmd_bracket(args, family: AlgebraFamily, config: dict) -> int:
 
 
 def _cmd_jacobi(args, family: AlgebraFamily, config: dict) -> int:
-    bound = _resolve_bound(args, config, Fraction(3))
+    bound = _resolve_bound(args, config, Fraction(3), MAX_JACOBI_BOUND)
     violations, triples = jacobi_sweep(family, bound)
     verdict = "pass" if violations == 0 else "fail"
     _emit({"algebra": family.value, "bound": fraction_json(bound),
@@ -139,7 +157,7 @@ def _cmd_defect(args, family: AlgebraFamily, config: dict) -> int:
 def _cmd_annihilate(args, family: AlgebraFamily, config: dict) -> int:
     target = parse_element(args.target, family)
     largest = max((abs(bv.index) for bv in target.support()), default=Fraction(0))
-    bound = _resolve_bound(args, config, 2 * largest + 2)
+    bound = _resolve_bound(args, config, 2 * largest + 2, MAX_ANNIHILATE_BOUND)
     space = annihilator_basis(target, GradedWindow(bound))
     rendered = [format_derivation(b) for b in space.basis]
     _emit({"algebra": family.value, "target": format_element(target),
@@ -164,8 +182,10 @@ def _build_oracle(spec: str, family: AlgebraFamily, seed: int,
 
 def _cmd_globalize(args, family: AlgebraFamily, config: dict) -> int:
     seed = _resolve_seed(args, config)
-    bound = _resolve_bound(args, config, Fraction(3))
-    oracle = _build_oracle(args.oracle, family, seed, parse_rational(args.mask_bound))
+    bound = _resolve_bound(args, config, Fraction(3), MAX_GLOBALIZE_BOUND)
+    mask_bound = _capped(parse_rational(args.mask_bound), MAX_GLOBALIZE_BOUND,
+                         "the mask bound")
+    oracle = _build_oracle(args.oracle, family, seed, mask_bound)
     test_set = TestSet(GradedWindow(bound), parse_integer(args.random), seed)
     certificate = globalize(oracle, test_set)
     print(certificate.to_json())
@@ -210,7 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jacobi", parents=[common],
                        help="sweep the graded Jacobi identity over a window")
     p.add_argument("--bound", default=None,
-                   help="index window bound (default 3)")
+                   help="index window bound (default 3, at most %d)"
+                        % MAX_JACOBI_BOUND)
     p.set_defaults(handler=_cmd_jacobi)
 
     p = sub.add_parser("defect", parents=[common],
@@ -225,7 +246,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="window annihilator of an element")
     p.add_argument("target")
     p.add_argument("--bound", default=None,
-                   help="window bound (default: 2*max|index| + 2)")
+                   help="window bound (default: 2*max|index| + 2; at most %d)"
+                        % MAX_ANNIHILATE_BOUND)
     p.set_defaults(handler=_cmd_annihilate)
 
     p = sub.add_parser("globalize", parents=[common],
@@ -234,14 +256,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="'honest:<derivation>' or 'adversarial:<kind>' with "
                         "kind one of: %s" % ", ".join(ADVERSARIAL_KINDS))
     p.add_argument("--bound", default=None,
-                   help="test basis window bound (default 3)")
+                   help="test basis window bound (default 3, at most %d)"
+                        % MAX_GLOBALIZE_BOUND)
     p.add_argument("--random", default="20", metavar="N",
                    help="number of seeded random test elements (default 20)")
     p.add_argument("--seed", default=None,
                    help="seed (default: SUPERDER_SEED, then config, then 0)")
     p.add_argument("--mask-bound", default="4",
                    dest="mask_bound",
-                   help="honest-oracle mask window bound (default 4; 0 disables)")
+                   help="honest-oracle mask window bound (default 4, at most %d; "
+                        "0 disables)" % MAX_GLOBALIZE_BOUND)
     p.set_defaults(handler=_cmd_globalize)
 
     p = sub.add_parser("lemma", parents=[common],

@@ -6,10 +6,12 @@ a dict from column index to a nonzero int, scaled so that its entries have no
 common factor; a row operation ``p*a - q*b`` touches only the union of the two
 supports and is divided by its gcd again.  The matrices met here are graded
 by degree and nearly empty, so the cost follows the nonzero entries rather
-than the rows times columns.  Pivots become units only at the end, when the
-reduced rows are reported as ``Fraction`` values; the reduced row echelon form
-of a row space is unique, so the canonical output does not depend on the
-order of the eliminations.
+than the rows times columns.  The entries are read once into primitive
+integer rows, and the forward pass takes them shortest first, so long rows
+are reduced against sparse pivots instead of filling in through each other.
+Pivots become units only at the end, when the reduced rows are reported as
+``Fraction`` values; the reduced row echelon form of a row space is unique,
+so the canonical output does not depend on the order of the eliminations.
 """
 
 from __future__ import annotations
@@ -36,30 +38,20 @@ class LabeledMatrix:
     entries: Dict[Tuple[Hashable, Hashable], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
-        if len(set(self.row_labels)) != len(self.row_labels):
+        rows, cols = set(self.row_labels), set(self.col_labels)
+        if len(rows) != len(self.row_labels):
             raise ValueError("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
+        if len(cols) != len(self.col_labels):
             raise ValueError("duplicate column labels")
-        rows = set(self.row_labels)
-        cols = set(self.col_labels)
-        for (r, c), v in self.entries.items():
-            if r not in rows or c not in cols:
-                raise ValueError("entry (%r, %r) outside the declared labels" % (r, c))
-            if v == 0:
-                raise ValueError("stored entries must be nonzero")
+        stray = next(((r, c) for r, c in self.entries if r not in rows or c not in cols), None)
+        if stray is not None:
+            raise ValueError("entry %r outside the declared labels" % (stray,))
+        if not all(self.entries.values()):
+            raise ValueError("stored entries must be nonzero")
 
     @property
     def shape(self) -> Tuple[int, int]:
         return (len(self.row_labels), len(self.col_labels))
-
-
-def _sparse_rows(m: LabeledMatrix) -> List[Dict[int, Fraction]]:
-    """The nonzero rows of m, as ``{column index: value}`` dicts."""
-    col_index = {c: j for j, c in enumerate(m.col_labels)}
-    rows: Dict[Hashable, Dict[int, Fraction]] = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[col_index[c]] = v
-    return list(rows.values())
 
 
 def _primitive(row: Dict[int, Fraction]) -> IntRow:
@@ -68,6 +60,16 @@ def _primitive(row: Dict[int, Fraction]) -> IntRow:
     ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
     g = math.gcd(*ints.values())
     return {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+def _int_rows(m: LabeledMatrix) -> List[IntRow]:
+    """The nonzero rows of m as primitive integer rows over column indices,
+    gathered in one pass over the entries."""
+    col_index = {c: j for j, c in enumerate(m.col_labels)}
+    rows: Dict[Hashable, Dict[int, Fraction]] = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[col_index[c]] = v
+    return [_primitive(row) for row in rows.values()]
 
 
 def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
@@ -86,11 +88,14 @@ def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
     return {j: v // g for j, v in out.items()} if g > 1 else out
 
 
-def _echelon(rows: Iterable[Dict[int, Fraction]]) -> Dict[int, IntRow]:
-    """Forward pass: primitive integer echelon rows keyed by pivot column."""
+def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
+    """Forward pass: primitive integer echelon rows keyed by pivot column.
+
+    Rows are taken shortest first, so the long ones are reduced against
+    sparse pivots rather than chained through each other.
+    """
     pivots: Dict[int, IntRow] = {}
-    for row in rows:
-        work = _primitive(row) if row else {}
+    for work in sorted(rows, key=len):
         while work:
             col = min(work)
             prow = pivots.get(col)
@@ -101,12 +106,9 @@ def _echelon(rows: Iterable[Dict[int, Fraction]]) -> Dict[int, IntRow]:
     return pivots
 
 
-def _reduced_echelon(rows: Iterable[Dict[int, Fraction]]
-                     ) -> List[Tuple[int, Dict[int, Fraction]]]:
-    """Reduced row echelon form with unit pivots, as (pivot, row) in pivot order.
-
-    Each reduced row lists its nonzero entries in ascending column order.
-    """
+def _reduced_echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
+    """Reduced row echelon form as primitive integer rows, keyed by pivot
+    column in ascending order: each row is zero at every other pivot."""
     pivots = _echelon(rows)
     order = sorted(pivots)
     for col in reversed(order):
@@ -116,17 +118,12 @@ def _reduced_echelon(rows: Iterable[Dict[int, Fraction]]
         for j in [j for j in row if j > col and j in pivots]:
             row = _eliminate(row, pivots[j], j)
         pivots[col] = row
-    out = []
-    for col in order:
-        row = pivots[col]
-        p = row[col]
-        out.append((col, {j: Fraction(row[j], p) for j in sorted(row)}))
-    return out
+    return {col: pivots[col] for col in order}
 
 
 def rank(m: LabeledMatrix) -> int:
     """Exact rank of a labeled matrix."""
-    return len(_echelon(_sparse_rows(m)))
+    return len(_echelon(_int_rows(m)))
 
 
 def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
@@ -139,15 +136,13 @@ def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
     Exactness contract: ``m @ v == 0`` holds with no tolerance.
     """
     cols = m.col_labels
-    reduced = _reduced_echelon(_sparse_rows(m))
-    pivots = {col for col, _ in reduced}
-    # Free column f gives e_f minus row[f] * e_pivot over the reduced rows.
-    vectors: Dict[int, Dict[int, Fraction]] = {
-        f: {f: Fraction(1)} for f in range(len(cols)) if f not in pivots}
-    for col, row in reduced:
-        for j, coef in row.items():
+    reduced = _reduced_echelon(_int_rows(m))
+    # Free column f gives e_f minus row[f]/row[pivot] * e_pivot over the
+    # reduced rows.
+    vectors = {f: {f: Fraction(1)} for f in range(len(cols)) if f not in reduced}
+    for col, row in reduced.items():
+        for j, v in row.items():
             if j != col:
-                vectors[j][col] = -coef
-    return tuple({cols[j]: val for j, val in row.items()}
-                 for _, row in _reduced_echelon(vectors.values()))
-
+                vectors[j][col] = Fraction(-v, row[col])
+    return tuple({cols[j]: Fraction(row[j], row[col]) for j in sorted(row)}
+                 for col, row in _reduced_echelon(map(_primitive, vectors.values())).items())

@@ -288,7 +288,7 @@ def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
     base = annihilator_basis(x, window).basis
     if y.is_zero or not base:
         return base
-    m = image_matrix({j: d.apply(y) for j, d in enumerate(base)})
+    m = image_matrix({j: d.apply(y).terms for j, d in enumerate(base)})
     return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
                  for vec in kernel_basis(m))
 
@@ -308,9 +308,12 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
     pair to pair, while the reported deltas are the true values d.apply(x)
     and d.apply(y).  The masked map itself is evaluated only by
     ``checked_query``, which thereby checks the mask.  A mask window of
-    bound 0 disables masking entirely.
+    bound 0 disables masking entirely.  ``globalize`` puts its anchor a1
+    first in every query, so the value at the first argument is kept for
+    the most recent x only.
     """
     family = d.family
+    delta_first = lru_cache(maxsize=1)(d.apply)
 
     def query(x: Element, y: Element) -> OracleAnswer:
         local = d
@@ -319,7 +322,7 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
             rng = random.Random(_pair_seed(seed, family, x, y))
             coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
             local = _combination(family, ((1, d), *zip(coeffs, basis)))
-        return OracleAnswer(local, d.apply(x), d.apply(y))
+        return OracleAnswer(local, delta_first(x), d.apply(y))
 
     return TwoLocalOracle(family, query)
 
