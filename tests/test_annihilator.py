@@ -23,7 +23,7 @@ from superder import (
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 
-from helpers import dense_nullspace, dense_rank, labeled_dense
+from helpers import dense_nullspace, dense_rank, labeled_dense, reference_bracket
 import strategies as sg
 
 F = Fraction
@@ -133,6 +133,37 @@ class TestEvaluationMatrix:
         assert m.entries[(bv(SW22, KIND_Q, 0), OUTER_TAG)] == 1
         m0 = evaluation_matrix(el(SVIR0, (KIND_L, 0, 1)), GradedWindow(F(1)))
         assert OUTER_TAG not in m0.col_labels
+
+
+    @given(st.data())
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
+    def test_matches_a_matrix_built_column_by_column(self, family, data):
+        # Each generator column from reference_bracket, one target term at a
+        # time; sw22's D column from D's definition (it fixes I, Q and C2).
+        target = data.draw(sg.elements(family, allow_zero=False), label="target")
+        bound = data.draw(st.sampled_from([F(0), F(1, 2), F(1), F(2), F(7, 2)]),
+                          label="bound")
+        window = GradedWindow(bound)
+        columns = {}
+        for g in window.generators(family):
+            col = {}
+            for v, c in target.terms.items():
+                for w, k in reference_bracket(g, v).items():
+                    col[w] = col.get(w, 0) + c * k
+            columns[g] = col
+        if family is SW22:
+            columns[OUTER_TAG] = {v: c for v, c in target.terms.items()
+                                  if v.kind in (KIND_I, KIND_Q, KIND_C2)}
+        entries = {(w, tag): c for tag, col in columns.items()
+                   for w, c in col.items() if c}
+        kind_order = (KIND_L, KIND_G, KIND_I, KIND_Q, KIND_C, KIND_C1, KIND_C2)
+        rows = sorted({w for w, _ in entries},
+                      key=lambda w: (kind_order.index(w.kind), w.index))
+        m = evaluation_matrix(target, window)
+        assert m.col_labels == tuple(columns)
+        assert m.row_labels == tuple(rows)
+        assert m.entries == entries
+        assert all(type(c) is Fraction for c in m.entries.values())
 
 
 class TestAnnihilatorBasis:

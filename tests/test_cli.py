@@ -8,7 +8,16 @@ from pathlib import Path
 
 import pytest
 
-from superder.cli import ENV_SEED, EXIT_CLOSED_OUTPUT, _load_config, run_command
+from superder.annihilator import GradedWindow
+from superder.cli import (
+    ENV_SEED,
+    EXIT_CLOSED_OUTPUT,
+    MAX_ANNIHILATE_BOUND,
+    MAX_GLOBALIZE_BOUND,
+    MAX_JACOBI_BOUND,
+    _load_config,
+    run_command,
+)
 from superder.expr import MAX_DIGITS
 from superder.two_local import MAX_RANDOM_TESTS, TestSet
 
@@ -286,6 +295,43 @@ class TestErrors:
         assert code == 2
         assert out == ""
         assert "at most %d" % MAX_RANDOM_TESTS in err
+
+    CAPPED = [
+        (["jacobi", "--bound"], MAX_JACOBI_BOUND),
+        (["annihilate", "L[1]", "--bound"], MAX_ANNIHILATE_BOUND),
+        (["globalize", "--oracle", "honest:ad(L[1])", "--random", "0", "--bound"],
+         MAX_GLOBALIZE_BOUND),
+        (["globalize", "--oracle", "honest:ad(L[1])", "--random", "0", "--mask-bound"],
+         MAX_GLOBALIZE_BOUND),
+    ]
+
+    @pytest.mark.parametrize("argv, cap", CAPPED)
+    def test_bound_just_over_the_cap(self, capsys, monkeypatch, argv, cap):
+        def no_window(self):
+            raise AssertionError("a window was built")
+        monkeypatch.setattr(GradedWindow, "__post_init__", no_window)
+        code, out, err = run(capsys, *argv, "%d/2" % (2 * cap + 1))
+        assert code == 2
+        assert out == ""
+        assert "must be at most %d, got %d/2" % (cap, 2 * cap + 1) in err
+
+    @pytest.mark.parametrize("argv, cap", CAPPED)
+    def test_bound_at_the_cap(self, capsys, argv, cap):
+        assert run(capsys, *argv, str(cap))[0] == 0
+
+    def test_config_bound_over_the_cap(self, capsys, tmp_path):
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"bound": MAX_JACOBI_BOUND + 1}))
+        code, out, err = run(capsys, "jacobi", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "must be at most %d" % MAX_JACOBI_BOUND in err
+
+    def test_default_annihilate_bound_over_the_cap(self, capsys):
+        # The default bound 2*64 + 2 = 130 is over the cap as well.
+        code, _, err = run(capsys, "annihilate", "L[64]")
+        assert code == 2
+        assert "must be at most %d, got 130" % MAX_ANNIHILATE_BOUND in err
 
     @pytest.mark.parametrize("argv, position", [
         (["bracket", "L[\u0663]", "L[-3]"], 2),

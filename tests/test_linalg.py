@@ -195,3 +195,18 @@ class TestDenseCrossCheck:
         assert m.shape == (150, 133)
         assert_matches_dense(m)
 
+
+class TestEliminationOrder:
+    @given(shaped_sparse_matrices(), st.randoms(use_true_random=False))
+    def test_row_and_entry_order_do_not_matter(self, m, rng):
+        # The forward pass reorders rows by length; the output must not
+        # depend on the order the rows or entries come in.
+        rows = list(m.row_labels)
+        items = list(m.entries.items())
+        rng.shuffle(rows)
+        rng.shuffle(items)
+        permuted = LabeledMatrix(tuple(rows), m.col_labels, dict(items))
+        got, want = kernel_basis(permuted), kernel_basis(m)
+        assert got == want
+        assert [list(vec) for vec in got] == [list(vec) for vec in want]
+        assert rank(permuted) == rank(m)

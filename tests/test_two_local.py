@@ -167,6 +167,30 @@ class TestHonestOracle:
         ans = oracle.query(x, x)
         assert ans.delta_x == ans.delta_y == ans.local_map.apply(x)
 
+    def test_value_at_the_first_argument_is_kept_for_the_latest_one(self, monkeypatch):
+        apply = SuperDerivation.apply
+        d = SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1), (KIND_Q, -1, 2)), F(3))
+        calls = []
+
+        def counted(self, x):
+            if self is d:
+                calls.append(x)
+            return apply(self, x)
+
+        monkeypatch.setattr(SuperDerivation, "apply", counted)
+        oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=0)
+        a1, a2, probe = anchor_pair(SW22)
+        ys = [a2, probe, el(SW22, (KIND_I, 2, 1)), a2]
+        for y in ys:
+            ans = oracle.query(a1, y)
+            assert (ans.delta_x, ans.delta_y) == (apply(d, a1), apply(d, y))
+        assert calls == [a1, *ys]
+        # Only the most recent first argument is kept: a1 is evaluated again
+        # after a query led by another element.
+        oracle.query(a2, a1)
+        oracle.query(a1, a2)
+        assert calls[len(ys) + 1:] == [a2, a1, a1, a2]
+
 
 class TestGlobalizeHonest:
     def test_vir_recovers_the_derivation(self):
