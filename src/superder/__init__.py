@@ -11,7 +11,6 @@ from .algebra import (
     KindNotInFamilyError,
     bracket,
     bracket_terms,
-    parity_decompose,
 )
 from .annihilator import (
     DerivationSpace,
@@ -90,7 +89,6 @@ __all__ = [
     "make_honest_oracle",
     "outer_action",
     "outer_derivation_defect_sweep",
-    "parity_decompose",
     "parse_derivation",
     "parse_element",
     "span_contains",

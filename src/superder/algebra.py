@@ -12,10 +12,12 @@ constants:
 * ``sw22``   - the super W(2,2) algebra, with even generators L_m, I_m, odd
   generators G_m, Q_m (all integral) and two central charges C1, C2.
 
-Every element coefficient is a ``fractions.Fraction``.  The structure table
-(``bracket_terms``) returns its integral constants as ``int`` and the others
-as ``Fraction``, so the common products stay in machine integers; both are
-exact, and there is no floating point anywhere in this package.
+Every element coefficient is a ``fractions.Fraction``.  Every structure
+constant is a multiple of 1/12, so the structure table (``bracket_terms``)
+returns it as the ``int`` 12 times its value, and bracket sums stay in
+machine integers until one division per output term.  There is no floating
+point anywhere in this package: a float coefficient, index or bound is a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -102,6 +104,13 @@ _FAMILY_KINDS = {
 _FAMILY_RANK = {family: rank for rank, family in enumerate(AlgebraFamily)}
 
 
+def exact(value: Scalar) -> Fraction:
+    """``value`` as a ``Fraction``; a float, which is never exact here, is a TypeError."""
+    if isinstance(value, float):
+        raise TypeError("expected an exact rational, got the float %r" % value)
+    return Fraction(value)
+
+
 def sector_denominator(family: AlgebraFamily, kind: str) -> int:
     """The legal indices of a non-central kind are the rationals whose lowest
     terms have exactly this denominator: 2 (half-odd integers) for the odd
@@ -128,7 +137,7 @@ class BasisVector:
         if kind in CENTRAL_KINDS:
             twice = 0
         else:
-            idx = Fraction(index)
+            idx = index if type(index) is Fraction else exact(index)
             if idx.denominator != sector_denominator(family, kind):
                 raise IndexNotInSectorError(
                     "index %s is outside the legal sector for %s in family %s"
@@ -209,8 +218,7 @@ class Element:
                 raise FamilyMismatchError(
                     "basis vector %r does not belong to family %r"
                     % (bv.token(), family.value))
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            c = c if type(c) is Fraction else exact(c)
             if c:
                 prev = acc.get(bv)
                 acc[bv] = c if prev is None else prev + c
@@ -238,7 +246,7 @@ class Element:
 
     @classmethod
     def basis(cls, bv: BasisVector, coeff: Scalar = 1) -> "Element":
-        c = coeff if type(coeff) is Fraction else Fraction(coeff)
+        c = coeff if type(coeff) is Fraction else exact(coeff)
         return cls._canonical(bv.family, {bv: c} if c else {})
 
     # -- queries -------------------------------------------------------------
@@ -301,13 +309,6 @@ class Element:
         return "Element(%s, %s)" % (self.family.value, body)
 
 
-def parity_decompose(x: Element) -> Tuple[Element, Element]:
-    """Split an element into its even and odd parts (in that order)."""
-    even = {b: c for b, c in x.terms.items() if b.parity == 0}
-    odd = {b: c for b, c in x.terms.items() if b.parity == 1}
-    return Element(x.family, even), Element(x.family, odd)
-
-
 # ---------------------------------------------------------------------------
 # Structure constants.
 #
@@ -325,6 +326,9 @@ def parity_decompose(x: Element) -> Tuple[Element, Element]:
 # generators bracket to zero against everything, and reversed orderings
 # follow from super anti-symmetry  [u, v] = -(-1)^{|u||v|} [v, u].
 # ---------------------------------------------------------------------------
+
+# Every structure constant is an integer multiple of 1 / STRUCTURE_DENOMINATOR.
+STRUCTURE_DENOMINATOR = 12
 
 # The three shapes of the table above.
 _WITT = "witt"      # (m - n) X_{m+n} + delta_{m+n,0} (m^3 - m)/12 * Z
@@ -345,37 +349,34 @@ _STRUCTURE = {
 }
 
 
-def _ratio(num: int, den: int) -> Scalar:
-    """num/den exactly: an int when den divides num, else a Fraction."""
-    q, r = divmod(num, den)
-    return Fraction(num, den) if r else q
-
-
 def _shape_terms(family: AlgebraFamily, shape: str, kind: str,
                  slot: Optional[int], m2: int, n2: int):
     """The bracket of one table shape at indices (m, n) = (m2/2, n2/2), as
-    (vector, coeff) pairs; integral coefficients are ints."""
+    (vector, 12 * coeff) pairs of nonzero ints: integer polynomials in
+    (m2, n2)."""
+    index = Fraction(m2 + n2, 2)
     if shape == _MODULE:
-        c = _ratio(m2 - 2 * n2, 4)
-        return ((BasisVector(family, kind, _ratio(m2 + n2, 2)), c),) if c else ()
+        k = 3 * (m2 - 2 * n2)
+        return ((BasisVector(family, kind, index), k),) if k else ()
     if shape == _WITT:
         m = m2 // 2
-        lead, central = (m2 - n2) // 2, _ratio(m ** 3 - m, 12)
+        lead, central = 6 * (m2 - n2), m ** 3 - m
     else:
-        lead, central = 2, _ratio(m2 * m2 - 1, 12)
+        lead, central = 24, m2 * m2 - 1
     out = []
     if lead:
-        out.append((BasisVector(family, kind, _ratio(m2 + n2, 2)), lead))
+        out.append((BasisVector(family, kind, index), lead))
     if m2 + n2 == 0 and central:
         out.append((BasisVector(family, family.central_kinds[slot]), central))
     return tuple(out)
 
 
 @lru_cache(maxsize=1 << 15)
-def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, Scalar], ...]:
-    """Bracket of two basis vectors of one family, as (vector, coeff) pairs.
+def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, int], ...]:
+    """Bracket of two basis vectors of one family, as (vector, k) pairs.
 
-    Integral coefficients are ints and the others Fractions.
+    Each ``k`` is a nonzero int, ``STRUCTURE_DENOMINATOR`` times the
+    structure constant, and no vector appears twice.
     """
     entry = _STRUCTURE.get((u.kind, v.kind))
     if entry is not None:
@@ -395,19 +396,18 @@ def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
 
     ``acc`` maps basis vectors to unreduced ``[numerator, denominator]`` int
     pairs with a positive denominator; numerators are added directly when
-    the denominators agree, so the loop does no gcd.  Zero sums stay in
-    ``acc``; ``reduced_terms`` turns it into Fractions.  Returns ``acc``.
+    the denominators agree, so the loop does no gcd.  The table's
+    ``STRUCTURE_DENOMINATOR`` goes into the denominator once per term of
+    ``xs``.  Zero sums stay in ``acc``; ``reduced_terms`` turns it into
+    Fractions.  Returns ``acc``.
     """
     ys = [(v, c.numerator, c.denominator) for v, c in ys]
     for u, cu in xs:
-        un, ud = cu.numerator, cu.denominator
+        un, ud = cu.numerator, STRUCTURE_DENOMINATOR * cu.denominator
         for v, vn, vd in ys:
-            n0, d0 = un * vn, ud * vd
-            for w, c in bracket_terms(u, v):
-                if type(c) is int:
-                    n, d = n0 * c, d0
-                else:
-                    n, d = n0 * c.numerator, d0 * c.denominator
+            n0, d = un * vn, ud * vd
+            for w, k in bracket_terms(u, v):
+                n = n0 * k
                 pair = acc.get(w)
                 if pair is None:
                     acc[w] = [n, d]

@@ -36,6 +36,7 @@ from .algebra import (
     BasisVector,
     Element,
     accumulate_bracket,
+    exact,
     sector_denominator,
 )
 from .derivations import OUTER_TAG, SuperDerivation, has_outer, outer_action
@@ -53,7 +54,7 @@ class GradedWindow:
     bound: Fraction
 
     def __post_init__(self):
-        b = Fraction(self.bound)
+        b = self.bound if type(self.bound) is Fraction else exact(self.bound)
         if b < 0:
             raise ValueError("window bound must be non-negative")
         object.__setattr__(self, "bound", b)

@@ -30,7 +30,7 @@ from .algebra import (
     FamilyMismatchError,
     accumulate_bracket,
     bracket,
-    parity_decompose,
+    exact,
     reduced_terms,
 )
 
@@ -71,7 +71,8 @@ class SuperDerivation:
     def __post_init__(self):
         if self.inner.family is not self.family:
             raise FamilyMismatchError("inner element belongs to a different family")
-        lam = Fraction(self.outer_lambda)
+        lam = self.outer_lambda
+        lam = lam if type(lam) is Fraction else exact(lam)
         if lam != 0 and not has_outer(self.family):
             raise ValueError("only the sw22 family has an outer derivation direction")
         if any(b.is_central for b in self.inner.terms):
@@ -189,11 +190,9 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
     family = x.family
     if y.family is not family:
         raise FamilyMismatchError("defect arguments must share one family")
-    acc = {w: [c.numerator, c.denominator]
-           for w, c in d.apply(bracket(x, y)).terms.items()}
-    accumulate_bracket(acc, ((b, -c) for b, c in d.apply(x).terms.items()),
-                       y.terms.items())
-    dy = [d.apply(yr) for yr in parity_decompose(y)]
+    acc = accumulate_bracket({}, d.apply(x).terms.items(), y.terms.items())
+    dy = [d.apply(Element._canonical(family, {b: c for b, c in y.terms.items()
+                                              if b.parity == r})) for r in (0, 1)]
     for p in (0, 1):
         # d_p(y) as (vector, coefficient) pairs, summed over the parts y_r.
         dp_y = [(w, c) for r in (0, 1) for w, c in dy[r].terms.items()
@@ -201,5 +200,5 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
         # One term of x at a time, so q is the parity of its basis vector.
         for b, c in x.terms.items():
             sign = -1 if (p and b.parity) else 1
-            accumulate_bracket(acc, ((b, -sign * c),), dp_y)
-    return Element._canonical(family, reduced_terms(acc))
+            accumulate_bracket(acc, ((b, sign * c),), dp_y)
+    return d.apply(bracket(x, y)) - Element._canonical(family, reduced_terms(acc))

@@ -4,17 +4,16 @@ The sweeps exhaustively confirm super anti-symmetry and the graded Jacobi
 identity over a bounded index range, and the Leibniz rule for the
 distinguished outer derivation of sw22.  The anti-symmetry and Jacobi
 sweeps are the implementation check of the structure table: they read each
-constant they need once through ``bracket_terms``, into a table of ints
-over numbered vectors (``_window_table``), and count violations with int
-arithmetic only.  The named suites reproduce the
-annihilator facts that drive globalization: annihilators of single odd
+constant they need once through ``bracket_terms``, whose ints are 12 times
+the true constants, into a table over numbered vectors (``_window_table``),
+and count violations with int arithmetic only.  The named suites reproduce
+the annihilator facts that drive globalization: annihilators of single odd
 generators, of even-plus-odd probe elements, and of mixed even elements,
 each with an exact predicted basis or dimension.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import List, Tuple
 
@@ -34,7 +33,7 @@ from .expr import fraction_json
 
 
 def _window_table(family: AlgebraFamily, bound):
-    """The structure constants the window sweeps need, as one int table.
+    """The structure constants the window sweeps need, as one table.
 
     Reads each needed constant once through ``bracket_terms``: every pair
     of window vectors, then each window vector against every vector those
@@ -45,11 +44,9 @@ def _window_table(family: AlgebraFamily, bound):
     for a reached vector a against a window vector b.  Brackets with reached
     vectors may give vectors further out; those get ids but no rows.
 
-    Every constant is multiplied by ``s``, the lcm of all their
-    denominators, so the table holds ints.  That is exact for counting
-    violations: the sweeps take sums of products of at most two constants,
-    so each Jacobiator is scaled by s**2 and each antisymmetry sum by s,
-    and a scaled sum is zero exactly when the true one is.
+    The constants are the ints of ``bracket_terms``, 12 times the true
+    ones.  Each Jacobiator is then 144 times the true one and each
+    antisymmetry sum 12 times, so the violation counts are exact.
     """
     window = GradedWindow(Fraction(bound)).basis_vectors(family)
     raw = {(u, v): bracket_terms(u, v) for u in window for v in window}
@@ -60,19 +57,12 @@ def _window_table(family: AlgebraFamily, bound):
         for x in outside:
             raw[u, x] = bracket_terms(u, x)
             raw[x, u] = bracket_terms(x, u)
-    scale = math.lcm(*(c.denominator for terms in raw.values() for _, c in terms))
     everything = window + tuple(outside)
     ids = {vec: i for i, vec in enumerate(everything)}
 
     def row(u, columns):
-        out = []
-        for v in columns:
-            merged = {}
-            for w, c in raw[u, v]:
-                i = ids.setdefault(w, len(ids))
-                merged[i] = merged.get(i, 0) + c.numerator * (scale // c.denominator)
-            out.append(tuple((i, c) for i, c in merged.items() if c))
-        return out
+        return [tuple((ids.setdefault(w, len(ids)), c) for w, c in raw[u, v])
+                for v in columns]
 
     rows = [row(u, everything) for u in window] + [row(x, window) for x in outside]
     return [u.parity for u in window], rows

@@ -10,8 +10,9 @@ one branch per formula, plus graded anti-symmetry for reversed orders; the
 package evaluates the same constants from a table of three shapes.
 
 ``reference_antisymmetry_sweep`` and ``reference_jacobi_sweep`` are the
-package's earlier sweeps: one Fraction dict per pair or triple, filled term
-by term from ``bracket_terms``; the package sweeps a scaled int table.
+package's earlier sweeps: one dict of exact sums per pair or triple, filled
+term by term from ``bracket_terms``; the package sweeps one int table read
+from it.
 
 ``reference_leibniz_defect`` builds the parity components of a linear map
 from a per-basis-vector table of same-parity and flipped images; the package
@@ -171,8 +172,8 @@ def reference_leibniz_defect(d, x, y):
 
 def _accumulate(acc, xs, ys):
     """Add the bracket of two (basis vector, coefficient) sequences into the
-    Fraction dict acc.  Reads ``bracket_terms`` from ``superder.algebra`` at
-    each call, so a test that rebinds it there is seen here too."""
+    dict of exact sums acc.  Reads ``bracket_terms`` from ``superder.algebra``
+    at each call, so a test that rebinds it there is seen here too."""
     for u, cu in xs:
         for v, cv in ys:
             for w, c in algebra.bracket_terms(u, v):

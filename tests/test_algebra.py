@@ -18,12 +18,12 @@ from superder import (
     GradedWindow,
     IndexNotInSectorError,
     KindNotInFamilyError,
+    SuperDerivation,
     antisymmetry_sweep,
     bracket,
     bracket_terms,
     jacobi_sweep,
     outer_action,
-    parity_decompose,
 )
 from superder.algebra import (
     CENTRAL_KINDS,
@@ -169,7 +169,7 @@ def _exact_terms(x):
 
 class TestExactness:
     """Coefficients stay exact: elements store exactly Fraction, the table
-    returns int or Fraction constants."""
+    returns int multiples of 1/12, and no entry point takes a float."""
 
     @given(data=st.data())
     def test_element_coefficients_are_fractions(self, data):
@@ -190,6 +190,32 @@ class TestExactness:
                              (bv(SVIR12, KIND_L, 1), 3)))
         assert x.terms == {bv(SVIR12, KIND_L, 0): 1, bv(SVIR12, KIND_L, 1): 3}
         assert _exact_terms(x)
+
+    def test_element_rejects_float_coefficients(self):
+        with pytest.raises(TypeError):
+            Element(SVIR12, [(bv(SVIR12, KIND_L, 1), 0.1)])
+        with pytest.raises(TypeError):
+            Element(SVIR12, {bv(SVIR12, KIND_L, 1): 2.0})
+
+    def test_basis_element_rejects_a_float_coefficient(self):
+        with pytest.raises(TypeError):
+            Element.basis(bv(SVIR12, KIND_L, 1), 0.5)
+
+    def test_basis_vector_rejects_a_float_index(self):
+        with pytest.raises(TypeError):
+            BasisVector(SVIR12, KIND_G, 0.5)
+        with pytest.raises(TypeError):
+            BasisVector(SVIR0, KIND_L, 1.0)
+
+    def test_derivation_rejects_a_float_outer_coefficient(self):
+        with pytest.raises(TypeError):
+            SuperDerivation(SW22, Element.zero(SW22), outer_lambda=0.1)
+        assert SuperDerivation(SW22, Element.zero(SW22), True).outer_lambda == 1
+
+    def test_window_rejects_a_float_bound(self):
+        with pytest.raises(TypeError):
+            GradedWindow(2.5)
+        assert GradedWindow(2).bound == 2 and type(GradedWindow(2).bound) is Fraction
 
 
 class TestElement:
@@ -217,17 +243,6 @@ class TestElement:
         assert 2 * x == el(SVIR0, (KIND_L, 1, 2), (KIND_G, 2, -6))
         assert x * F(1, 3) == el(SVIR0, (KIND_L, 1, F(1, 3)), (KIND_G, 2, -1))
         assert -x + x == Element.zero(SVIR0)
-
-    def test_parity_decompose(self):
-        even, odd = parity_decompose(el(SVIR0, (KIND_L, 1, 1), (KIND_G, 2, 1)))
-        assert even == el(SVIR0, (KIND_L, 1, 1))
-        assert odd == el(SVIR0, (KIND_G, 2, 1))
-        even, odd = parity_decompose(Element.zero(SW22))
-        assert even.is_zero and odd.is_zero
-        even, odd = parity_decompose(
-            el(SW22, (KIND_I, 0, 3), (KIND_Q, 0, 2), (KIND_C2, 0, 1)))
-        assert even == el(SW22, (KIND_I, 0, 3), (KIND_C2, 0, 1))
-        assert odd == el(SW22, (KIND_Q, 0, 2))
 
 
 def _assert_canonical(value):
@@ -324,11 +339,20 @@ class TestBracketLaws:
         for u in vecs:
             for v in vecs:
                 terms = bracket_terms(u, v)
-                assert dict(terms) == reference_bracket(u, v), (u, v)
-                # Exact constants: an int when integral, else a Fraction;
-                # never a float or a bool.
-                for _, c in terms:
-                    assert type(c) is (int if c.denominator == 1 else Fraction), (u, v, c)
+                # Exact constants: ints, 12 times the true value; never a
+                # Fraction, a float or a bool.
+                for _, k in terms:
+                    assert type(k) is int, (u, v, k)
+                assert {w: F(k, 12) for w, k in terms} == reference_bracket(u, v), (u, v)
+
+    def test_twelve_is_the_least_common_denominator(self, family):
+        """Over a bound-2 window the gcd of 12 and every table int is 12
+        over the lcm of the true constants' denominators: 2 in vir, 12 in
+        svir0, 6 in svir12 and 12 in sw22."""
+        vecs = GradedWindow(F(2)).basis_vectors(family)
+        ks = [k for u in vecs for v in vecs for _, k in bracket_terms(u, v)]
+        expected = {VIR: 6, SVIR0: 1, SVIR12: 2, SW22: 1}[family]
+        assert math.gcd(12, *ks) == expected
 
     def test_grading_of_bracket_terms(self, family):
         vecs = [bv(family, k, i) for k in family.noncentral_kinds
@@ -414,7 +438,7 @@ class TestSweepsDetectViolations:
     def test_scaling_the_whole_table_keeps_both_laws(self, monkeypatch, family, factor):
         """Both laws are homogeneous in the constants, so a table scaled by a
         factor whose denominator no true constant has still satisfies them;
-        only an exact rescaling to ints keeps every relation."""
+        the sweeps take the patched Fraction constants as they come."""
         _scale_bracket(monkeypatch, None, factor)
         assert antisymmetry_sweep(family, 2)[0] == 0
         assert jacobi_sweep(family, 2)[0] == 0
