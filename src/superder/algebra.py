@@ -16,8 +16,8 @@ Every element coefficient is a ``fractions.Fraction``.  Every structure
 constant is a multiple of 1/12, so the structure table (``bracket_terms``)
 returns it as the ``int`` 12 times its value, and bracket sums stay in
 machine integers until one division per output term.  There is no floating
-point anywhere in this package: a float coefficient, index or bound is a
-``TypeError``.
+point anywhere in this package: a coefficient, index or bound that is not an
+``int`` or a ``Fraction`` (a float, a string) is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -105,9 +105,10 @@ _FAMILY_RANK = {family: rank for rank, family in enumerate(AlgebraFamily)}
 
 
 def exact(value: Scalar) -> Fraction:
-    """``value`` as a ``Fraction``; a float, which is never exact here, is a TypeError."""
-    if isinstance(value, float):
-        raise TypeError("expected an exact rational, got the float %r" % value)
+    """``value`` as a ``Fraction``; anything but an int or a ``Fraction``, such
+    as a float or a string that skips the grammar of ``expr``, is a TypeError."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError("expected an int or a Fraction, got %r" % (value,))
     return Fraction(value)
 
 

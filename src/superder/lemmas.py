@@ -9,7 +9,9 @@ the true constants, into a table over numbered vectors (``_window_table``),
 and count violations with int arithmetic only.  The named suites reproduce
 the annihilator facts that drive globalization: annihilators of single odd
 generators, of even-plus-odd probe elements, and of mixed even elements,
-each with an exact predicted basis or dimension.
+each with an exact predicted basis or dimension.  Their targets and
+predicted bases are written in the surface grammar of ``expr``, as the
+paper states them, and read with ``parse_element`` and ``parse_derivation``.
 """
 
 from __future__ import annotations
@@ -17,19 +19,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Tuple
 
-from .algebra import (
-    KIND_G,
-    KIND_I,
-    KIND_L,
-    KIND_Q,
-    AlgebraFamily,
-    BasisVector,
-    Element,
-    bracket_terms,
-)
+from .algebra import AlgebraFamily, Element, bracket_terms
 from .annihilator import GradedWindow, annihilator_basis
-from .derivations import OUTER_TAG, SuperDerivation, leibniz_defect
-from .expr import fraction_json
+from .derivations import leibniz_defect
+from .expr import fraction_json, parse_derivation, parse_element
 
 
 def _window_table(family: AlgebraFamily, bound):
@@ -48,7 +41,7 @@ def _window_table(family: AlgebraFamily, bound):
     ones.  Each Jacobiator is then 144 times the true one and each
     antisymmetry sum 12 times, so the violation counts are exact.
     """
-    window = GradedWindow(Fraction(bound)).basis_vectors(family)
+    window = GradedWindow(bound).basis_vectors(family)
     raw = {(u, v): bracket_terms(u, v) for u in window for v in window}
     inside = set(window)
     outside = list(dict.fromkeys(w for terms in raw.values() for w, _ in terms
@@ -130,8 +123,8 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
 def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
     """Leibniz defects of the sw22 outer derivation over basis pairs."""
     family = AlgebraFamily.SW22
-    outer = SuperDerivation.from_coords(family, {OUTER_TAG: 1})
-    vecs = GradedWindow(Fraction(bound)).basis_vectors(family)
+    outer = parse_derivation("D", family)
+    vecs = GradedWindow(bound).basis_vectors(family)
     violations = 0
     pairs = 0
     for u in vecs:
@@ -146,16 +139,14 @@ def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
 # -- named suites ---------------------------------------------------------------
 
 
-def _ad(family: AlgebraFamily, kind: str, index: Fraction) -> SuperDerivation:
-    return SuperDerivation.ad(Element.basis(BasisVector(family, kind, index)))
-
-
-def _basis_case(key: str, value: Fraction, target: Element, window: GradedWindow,
-                expected: Tuple[SuperDerivation, ...], **extra) -> dict:
-    """One case of a suite that predicts the exact annihilator basis."""
-    space = annihilator_basis(target, window)
+def _basis_case(key: str, value: Fraction, algebra: AlgebraFamily, target: str,
+                bound, expected: Tuple[str, ...], **extra) -> dict:
+    """One case of a suite that predicts the exact annihilator basis of
+    ``target`` in the window of the given bound."""
+    space = annihilator_basis(parse_element(target, algebra), GradedWindow(bound))
+    basis = tuple(parse_derivation(d, algebra) for d in expected)
     return {key: fraction_json(value), "dim": space.dimension,
-            "pass": space.basis == expected, **extra}
+            "pass": space.basis == basis, **extra}
 
 
 def _odd_generator_annihilators() -> List[dict]:
@@ -165,19 +156,15 @@ def _odd_generator_annihilators() -> List[dict]:
         (AlgebraFamily.SVIR0, [Fraction(i) for i in range(-3, 4)]),
         (AlgebraFamily.SVIR12, [Fraction(m, 2) for m in range(-5, 6, 2)]),
     )
-    return [_basis_case("i", i, Element.basis(BasisVector(family, KIND_G, i)),
-                        GradedWindow(2 * abs(i) + 2), (_ad(family, KIND_L, 2 * i),),
-                        family=family.value)
+    return [_basis_case("i", i, family, "G[%s]" % i, 2 * abs(i) + 2,
+                        ("ad(L[%s])" % (2 * i),), family=family.value)
             for family, indices in plans for i in indices]
 
 
 def _sw22_odd_generator_annihilators() -> List[dict]:
     """In sw22 the annihilator of G_r gains ad(I_{2r}) and the outer direction."""
-    family = AlgebraFamily.SW22
-    outer = SuperDerivation.from_coords(family, {OUTER_TAG: 1})
-    return [_basis_case("r", r, Element.basis(BasisVector(family, KIND_G, r)),
-                        GradedWindow(2 * abs(r) + 2),
-                        (_ad(family, KIND_L, 2 * r), _ad(family, KIND_I, 2 * r), outer))
+    return [_basis_case("r", r, AlgebraFamily.SW22, "G[%s]" % r, 2 * abs(r) + 2,
+                        ("ad(L[%s])" % (2 * r), "ad(I[%s])" % (2 * r), "D"))
             for r in map(Fraction, range(-2, 3))]
 
 
@@ -186,19 +173,13 @@ def _even_probe_annihilators() -> List[dict]:
     4W + 4, contains ad(L_0) and ad(L_1 - 1/2 G_1), and meets the outer
     direction trivially."""
     family = AlgebraFamily.SW22
-    target = (Element.basis(BasisVector(family, KIND_I, Fraction(0)))
-              + Element.basis(BasisVector(family, KIND_Q, Fraction(0))))
-    ad_l0 = _ad(family, KIND_L, Fraction(0))
-    coupled = SuperDerivation.ad(Element(family, (
-        (BasisVector(family, KIND_L, Fraction(1)), Fraction(1)),
-        (BasisVector(family, KIND_G, Fraction(1)), Fraction(-1, 2)),
-    )))
+    target = parse_element("I[0] + Q[0]", family)
+    members = [parse_derivation(d, family) for d in ("ad(L[0])", "ad(L[1] - 1/2*G[1])")]
     cases = []
     for w in (2, 3, 4):
-        space = annihilator_basis(target, GradedWindow(Fraction(w)))
+        space = annihilator_basis(target, GradedWindow(w))
         ok = (space.dimension == 4 * w + 4
-              and ad_l0 in space.basis
-              and coupled in space.basis
+              and all(d in space.basis for d in members)
               and all(b.outer_lambda == 0 for b in space.basis))
         cases.append({"bound": w, "dim": space.dimension,
                       "expected_dim": 4 * w + 4, "pass": ok})
@@ -208,14 +189,11 @@ def _even_probe_annihilators() -> List[dict]:
 def _mixed_element_annihilators() -> List[dict]:
     """For odd p, the annihilator of L_p + I_{2p} + Q_{2p} is spanned by
     ad of the element itself and ad(I_p)."""
-    family = AlgebraFamily.SW22
     cases = []
     for p in map(Fraction, (-3, -1, 1, 3)):
-        target = Element(family, ((BasisVector(family, KIND_L, p), 1),
-                                  (BasisVector(family, KIND_I, 2 * p), 1),
-                                  (BasisVector(family, KIND_Q, 2 * p), 1)))
-        cases.append(_basis_case("p", p, target, GradedWindow(3 * abs(p)),
-                                 (SuperDerivation.ad(target), _ad(family, KIND_I, p))))
+        target = "L[%s] + I[%s] + Q[%s]" % (p, 2 * p, 2 * p)
+        cases.append(_basis_case("p", p, AlgebraFamily.SW22, target, 3 * abs(p),
+                                 ("ad(%s)" % target, "ad(I[%s])" % p)))
     return cases
 
 

@@ -9,9 +9,12 @@ by degree and nearly empty, so the cost follows the nonzero entries rather
 than the rows times columns.  The entries are read once into primitive
 integer rows, and the forward pass takes them shortest first, so long rows
 are reduced against sparse pivots instead of filling in through each other.
-Pivots become units only at the end, when the reduced rows are reported as
-``Fraction`` values; the reduced row echelon form of a row space is unique,
-so the canonical output does not depend on the order of the eliminations.
+Each row is pivoted on its *last* nonzero column, so after back substitution
+it has entries only at its pivot and at free columns left of it.  The kernel
+vector of a free column f then has its unit leading entry at f, every other
+entry at a pivot beyond f, and zeros at the other free columns: these vectors
+already are the kernel's reduced echelon basis, which is unique, so no
+second elimination is needed and no elimination order can change the output.
 """
 
 from __future__ import annotations
@@ -89,7 +92,8 @@ def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
 
 
 def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
-    """Forward pass: primitive integer echelon rows keyed by pivot column.
+    """Forward pass: primitive integer echelon rows keyed by pivot column,
+    each pivot the last nonzero column of its row.
 
     Rows are taken shortest first, so the long ones are reduced against
     sparse pivots rather than chained through each other.
@@ -97,28 +101,13 @@ def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
     pivots: Dict[int, IntRow] = {}
     for work in sorted(rows, key=len):
         while work:
-            col = min(work)
+            col = max(work)
             prow = pivots.get(col)
             if prow is None:
                 pivots[col] = work
                 break
             work = _eliminate(work, prow, col)
     return pivots
-
-
-def _reduced_echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
-    """Reduced row echelon form as primitive integer rows, keyed by pivot
-    column in ascending order: each row is zero at every other pivot."""
-    pivots = _echelon(rows)
-    order = sorted(pivots)
-    for col in reversed(order):
-        # Rows below are already reduced, so clearing one pivot column of
-        # this row brings in entries at free columns only.
-        row = pivots[col]
-        for j in [j for j in row if j > col and j in pivots]:
-            row = _eliminate(row, pivots[j], j)
-        pivots[col] = row
-    return {col: pivots[col] for col in order}
 
 
 def rank(m: LabeledMatrix) -> int:
@@ -136,13 +125,19 @@ def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
     Exactness contract: ``m @ v == 0`` holds with no tolerance.
     """
     cols = m.col_labels
-    reduced = _reduced_echelon(_int_rows(m))
+    pivots = _echelon(_int_rows(m))
     # Free column f gives e_f minus row[f]/row[pivot] * e_pivot over the
-    # reduced rows.
-    vectors = {f: {f: Fraction(1)} for f in range(len(cols)) if f not in reduced}
-    for col, row in reduced.items():
+    # reduced rows.  Every such pivot lies beyond f, and the pivots are
+    # visited in ascending order, so each vector's keys come in column order.
+    vectors = {f: {cols[f]: Fraction(1)} for f in range(len(cols)) if f not in pivots}
+    for col in sorted(pivots):
+        # Back substitution: the rows of lower pivots are already reduced,
+        # so clearing a pivot column of this row brings in free columns only.
+        row = pivots[col]
+        for j in [j for j in row if j < col and j in pivots]:
+            row = _eliminate(row, pivots[j], j)
+        pivots[col] = row
         for j, v in row.items():
             if j != col:
-                vectors[j][col] = Fraction(-v, row[col])
-    return tuple({cols[j]: Fraction(row[j], row[col]) for j in sorted(row)}
-                 for col, row in _reduced_echelon(map(_primitive, vectors.values())).items())
+                vectors[j][cols[col]] = Fraction(-v, row[col])
+    return tuple(vectors.values())

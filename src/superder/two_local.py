@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import KIND_L, AlgebraFamily, BasisVector, Element
+from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, exact
 from .annihilator import GradedWindow, annihilator_basis, image_matrix
 from .derivations import (
     MapLike,
@@ -206,17 +206,14 @@ def anchor_pair(family: AlgebraFamily) -> Tuple[Element, Element, Optional[Eleme
 # -- globalization ---------------------------------------------------------------
 
 def _scalar_ratio(num: Element, den: Element) -> Optional[Fraction]:
-    """The scalar r with num == r * den, or None when no such scalar exists."""
-    if num.support() != den.support():
-        return None
-    ratio: Optional[Fraction] = None
-    for bv, c in den.terms.items():
-        r = num.terms[bv] / c
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
+    """The scalar r with num == r * den, or None when no such scalar exists.
+
+    ``den`` must be nonzero.  The ratio is read at den's first term and
+    then checked on the whole element.
+    """
+    bv, c = next(iter(den.terms.items()))
+    ratio = num.terms.get(bv, 0) / c
+    return ratio if num == den * ratio else None
 
 
 def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
@@ -249,11 +246,9 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
 
     if probe is not None:
         delta_probe = checked_query(oracle, a1, probe).delta_y
-        residual = delta_probe - candidate.apply(probe)
-        if not residual.is_zero:
-            ratio = _scalar_ratio(residual, probe)
-            if ratio is not None:
-                mu = ratio
+        ratio = _scalar_ratio(delta_probe - candidate.apply(probe), probe)
+        if ratio is not None:
+            mu = ratio
         got = candidate_action(probe)
         checks.append(CheckRecord(probe, delta_probe, got, got == delta_probe))
 
@@ -423,7 +418,7 @@ def homogeneity_check(oracle: TwoLocalOracle,
 
     results = []
     for k, x in samples:
-        k = Fraction(k)
+        k = exact(k)
         if k == 0:
             raise ValueError("homogeneity scalars must be nonzero")
         results.append(read(k * x) == k * read(x))

@@ -22,8 +22,11 @@ from superder import (
     antisymmetry_sweep,
     bracket,
     bracket_terms,
+    homogeneity_check,
     jacobi_sweep,
+    make_honest_oracle,
     outer_action,
+    outer_derivation_defect_sweep,
 )
 from superder.algebra import (
     CENTRAL_KINDS,
@@ -216,6 +219,40 @@ class TestExactness:
         with pytest.raises(TypeError):
             GradedWindow(2.5)
         assert GradedWindow(2).bound == 2 and type(GradedWindow(2).bound) is Fraction
+
+    # Strings would bypass the surface grammar, which rejects decimals and
+    # exponents; only int and Fraction values cross the library boundary.
+
+    def test_element_rejects_a_string_coefficient(self):
+        with pytest.raises(TypeError):
+            Element(SVIR12, [(bv(SVIR12, KIND_L, 1), "1e-3")])
+        with pytest.raises(TypeError):
+            Element.basis(bv(SVIR12, KIND_L, 1), "1/2")
+
+    def test_basis_vector_rejects_a_string_index(self):
+        with pytest.raises(TypeError):
+            BasisVector(SVIR12, KIND_G, "1.5")
+
+    def test_window_rejects_a_string_bound(self):
+        with pytest.raises(TypeError):
+            GradedWindow("2.5")
+
+    @pytest.mark.parametrize("sweep", [
+        lambda bound: jacobi_sweep(VIR, bound),
+        lambda bound: antisymmetry_sweep(VIR, bound),
+        outer_derivation_defect_sweep,
+    ], ids=["jacobi", "antisymmetry", "outer_derivation_defect"])
+    @pytest.mark.parametrize("bound", [2.5, "2"])
+    def test_sweeps_reject_an_inexact_bound(self, sweep, bound):
+        with pytest.raises(TypeError):
+            sweep(bound)
+
+    @pytest.mark.parametrize("scalar", [0.5, "1e-1"])
+    def test_homogeneity_check_rejects_an_inexact_scalar(self, scalar):
+        x = el(SVIR0, (KIND_L, 1, 1))
+        oracle = make_honest_oracle(SuperDerivation.ad(x), GradedWindow(0), seed=0)
+        with pytest.raises(TypeError):
+            homogeneity_check(oracle, [(scalar, x)])
 
 
 class TestElement:

@@ -27,7 +27,7 @@ from superder import (
 )
 from superder.algebra import KIND_C, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 from superder import two_local
-from superder.two_local import MAX_RANDOM_TESTS, _pair_mask_basis
+from superder.two_local import MAX_RANDOM_TESTS, _pair_mask_basis, _scalar_ratio
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -273,6 +273,27 @@ class TestGlobalizeDishonest:
     def test_unknown_adversarial_kind(self):
         with pytest.raises(ValueError):
             make_adversarial_oracle("nope", SVIR0)
+
+
+class TestScalarRatio:
+    def test_proportional_residual(self):
+        probe = el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
+        assert _scalar_ratio(el(SW22, (KIND_I, 0, 3), (KIND_Q, 0, 3)), probe) == 3
+        assert _scalar_ratio(el(SW22, (KIND_I, 0, F(-1, 2)), (KIND_Q, 0, F(-1, 2))),
+                             probe) == F(-1, 2)
+
+    def test_same_support_but_not_proportional(self):
+        probe = el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
+        assert _scalar_ratio(el(SW22, (KIND_I, 0, 2), (KIND_Q, 0, 3)), probe) is None
+
+    def test_different_support(self):
+        probe = el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
+        num = el(SW22, (KIND_I, 0, 2), (KIND_Q, 0, 2), (KIND_L, 1, 2))
+        assert _scalar_ratio(num, probe) is None
+
+    def test_residual_without_the_first_term_of_den(self):
+        probe = el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
+        assert _scalar_ratio(el(SW22, (KIND_Q, 0, 2)), probe) is None
 
 
 class TestHomogeneity:
