@@ -15,7 +15,9 @@ constants:
 Every element coefficient is a ``fractions.Fraction``.  Every structure
 constant is a multiple of 1/12, so the structure table (``bracket_terms``)
 returns it as the ``int`` 12 times its value, and bracket sums stay in
-machine integers until one division per output term.  There is no floating
+machine integers until one division per output term.  One private
+accumulator does those sums for ``bracket`` and ``ad_images``, so no other
+module sees an unreduced sum.  There is no floating
 point anywhere in this package: a coefficient, index or bound that is not an
 ``int`` or a ``Fraction`` (a float, a string) is a ``TypeError``.
 """
@@ -52,20 +54,23 @@ class FamilyMismatchError(ValueError):
     """Two operands belong to different algebra families."""
 
 
-class KindNotInFamilyError(ValueError):
+class PositionedError(ValueError):
+    """An error about input text; with a position, the message ends in
+    " (at position N)"."""
+
+    def __init__(self, message: str, position: Optional[int] = None):
+        if position is not None:
+            message = "%s (at position %d)" % (message, position)
+        super().__init__(message)
+        self.position = position
+
+
+class KindNotInFamilyError(PositionedError):
     """A generator kind that does not exist in the given family."""
 
-    def __init__(self, message: str, position: Optional[int] = None):
-        super().__init__(message)
-        self.position = position
 
-
-class IndexNotInSectorError(ValueError):
+class IndexNotInSectorError(PositionedError):
     """An index outside the legal sector of a (family, kind) pair."""
-
-    def __init__(self, message: str, position: Optional[int] = None):
-        super().__init__(message)
-        self.position = position
 
 
 class AlgebraFamily(Enum):
@@ -391,18 +396,16 @@ def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, in
     return ()
 
 
-def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
-                       ys: Iterable[Tuple[BasisVector, Scalar]]) -> dict:
-    """Add the bracket of two (basis vector, coefficient) sequences into acc.
+def _accumulate(xs: Iterable[Tuple[BasisVector, Scalar]], ys: list) -> dict:
+    """The bracket of (vector, coefficient) pairs ``xs``, read in place, with
+    (vector, numerator, denominator) int triples ``ys``: a dict from vectors
+    to unreduced ``[numerator, denominator > 0]`` int pairs.
 
-    ``acc`` maps basis vectors to unreduced ``[numerator, denominator]`` int
-    pairs with a positive denominator; numerators are added directly when
-    the denominators agree, so the loop does no gcd.  The table's
-    ``STRUCTURE_DENOMINATOR`` goes into the denominator once per term of
-    ``xs``.  Zero sums stay in ``acc``; ``reduced_terms`` turns it into
-    Fractions.  Returns ``acc``.
+    Numerators are added directly when the denominators agree, so the loop
+    does no gcd; the table's ``STRUCTURE_DENOMINATOR`` goes into the
+    denominator once per term of ``xs``.  Zero sums stay in the dict.
     """
-    ys = [(v, c.numerator, c.denominator) for v, c in ys]
+    acc = {}
     for u, cu in xs:
         un, ud = cu.numerator, STRUCTURE_DENOMINATOR * cu.denominator
         for v, vn, vd in ys:
@@ -420,22 +423,27 @@ def accumulate_bracket(acc: dict, xs: Iterable[Tuple[BasisVector, Scalar]],
     return acc
 
 
-def reduced_terms(acc: dict) -> dict:
-    """The nonzero entries of an ``accumulate_bracket`` dict in canonical
-    order, each as one reduced Fraction: a term map for ``Element._canonical``."""
-    out = {}
-    for w in sorted(acc, key=_SORT_KEY):
-        n, d = acc[w]
-        if n:
-            out[w] = Fraction(n, d)
-    return out
-
-
 def bracket(x: Element, y: Element) -> Element:
     """Graded Lie bracket, extended bilinearly from the basis brackets."""
     if x.family is not y.family:
         raise FamilyMismatchError(
             "cannot bracket elements of families %r and %r"
             % (x.family.value, y.family.value))
-    return Element._canonical(x.family, reduced_terms(
-        accumulate_bracket({}, x.terms.items(), y.terms.items())))
+    acc = _accumulate(x.terms.items(),
+                      [(v, c.numerator, c.denominator) for v, c in y.terms.items()])
+    out = {}
+    for w in sorted(acc, key=_SORT_KEY):
+        n, d = acc[w]
+        if n:
+            out[w] = Fraction(n, d)
+    return Element._canonical(x.family, out)
+
+
+def ad_images(generators: Iterable[BasisVector], y: Element) -> dict:
+    """``{g: [g, y]}`` for basis vectors ``g`` of y's family, each bracket a
+    term map of nonzero reduced Fractions in the order its vectors are
+    reached, not sorted.  The terms of ``y`` are read once for all of them.
+    """
+    ys = [(v, c.numerator, c.denominator) for v, c in y.terms.items()]
+    return {g: {w: Fraction(n, d) for w, (n, d) in _accumulate(((g, 1),), ys).items() if n}
+            for g in generators}

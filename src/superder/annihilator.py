@@ -5,9 +5,9 @@ directions are the coordinates of ``SuperDerivation.coords``: every
 non-central basis vector whose index has absolute value at most the bound,
 then the outer direction ``OUTER_TAG`` in families that have one.  Images of
 the generators may reach indices up to twice the bound; rows of the
-evaluation matrix follow the data and are never clipped.  Each generator
-column is one ``accumulate_bracket`` of the generator against the target,
-read straight into a term map; ``image_matrix`` sorts the rows once.
+evaluation matrix follow the data and are never clipped.  The generator
+columns are one ``ad_images`` call, which reads the target's terms once for
+every column; ``image_matrix`` sorts the rows once.
 
 Choosing the bound is the caller's responsibility, and no default is known
 to be enough.  The CLI defaults to 2 * (largest absolute index in the
@@ -35,7 +35,7 @@ from .algebra import (
     AlgebraFamily,
     BasisVector,
     Element,
-    accumulate_bracket,
+    ad_images,
     exact,
     sector_denominator,
 )
@@ -106,10 +106,7 @@ def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
     """
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
-    terms = target.terms.items()
-    images = {g: {w: Fraction(n, d) for w, (n, d) in
-                  accumulate_bracket({}, ((g, 1),), terms).items() if n}
-              for g in window.generators(target.family)}
+    images = ad_images(window.generators(target.family), target)
     if has_outer(target.family):
         images[OUTER_TAG] = outer_action(target).terms
     return image_matrix(images)

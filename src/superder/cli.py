@@ -82,7 +82,7 @@ def _load_config(path: Optional[str]) -> dict:
 
 
 def _resolve_family(args, config: dict) -> AlgebraFamily:
-    tag = args.algebra or config.get("algebra") or "vir"
+    tag = args.algebra or config.get("algebra", "vir")
     return AlgebraFamily.from_tag(tag)
 
 

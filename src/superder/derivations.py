@@ -11,13 +11,14 @@ nonzero outer part.  Annihilators are solved in the coordinates
 linearly.  It exists for maps that are not superderivations: adversarial
 oracle responses and inputs to ``leibniz_defect``.  Both kinds of map are
 evaluated through the same ``apply(x)`` method, and ``leibniz_defect`` reads
-the parity components of either one from it.
+either one through it alone, with four ``bracket`` calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from typing import Dict, Hashable, Iterable, Mapping, Tuple, Union
 
 from .algebra import (
@@ -28,10 +29,8 @@ from .algebra import (
     BasisVector,
     Element,
     FamilyMismatchError,
-    accumulate_bracket,
     bracket,
     exact,
-    reduced_terms,
 )
 
 _OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
@@ -183,22 +182,24 @@ def leibniz_defect(d: MapLike, x: Element, y: Element) -> Element:
     identically zero exactly when d is a superderivation on the span of the
     inputs.
 
-    The parity-p component d_p sends a homogeneous z_r to the parity-(p + r)
-    part of d(z_r), so it is read from ``d.apply`` for any linear map.  The
-    components of d sum to d, so the terms [d_p(x_q), y] sum to [d(x), y].
+    The components of d sum to d, so the terms [d_p(x_q), y] sum to
+    [d(x), y] and the terms [x_0, d_p(y)] to [x_0, d(y)].  The terms
+    (-1)^p [x_1, d_p(y)] sum to [x_1, (d_0 - d_1)(y)], and d_0 - d_1 is
+    sigma d sigma, where the parity involution sigma negates odd terms.  So
+    d is read through ``apply`` alone, for any linear map.
     """
     family = x.family
     if y.family is not family:
         raise FamilyMismatchError("defect arguments must share one family")
-    acc = accumulate_bracket({}, d.apply(x).terms.items(), y.terms.items())
-    dy = [d.apply(Element._canonical(family, {b: c for b, c in y.terms.items()
-                                              if b.parity == r})) for r in (0, 1)]
-    for p in (0, 1):
-        # d_p(y) as (vector, coefficient) pairs, summed over the parts y_r.
-        dp_y = [(w, c) for r in (0, 1) for w, c in dy[r].terms.items()
-                if w.parity == (p + r) % 2]
-        # One term of x at a time, so q is the parity of its basis vector.
-        for b, c in x.terms.items():
-            sign = -1 if (p and b.parity) else 1
-            accumulate_bracket(acc, ((b, sign * c),), dp_y)
-    return d.apply(bracket(x, y)) - Element._canonical(family, reduced_terms(acc))
+    x0, x1 = (Element._canonical(family, {b: c for b, c in x.terms.items()
+                                          if b.parity == q}) for q in (0, 1))
+    rhs = (bracket(d.apply(x), y), bracket(x0, d.apply(y)),
+           bracket(x1, _sigma(d.apply(_sigma(y)))))
+    return Element(family, chain(d.apply(bracket(x, y)).terms.items(),
+                                 ((b, -c) for e in rhs for b, c in e.terms.items())))
+
+
+def _sigma(x: Element) -> Element:
+    """The parity involution: odd terms negated, even terms kept."""
+    return Element._canonical(x.family, {b: -c if b.parity else c
+                                         for b, c in x.terms.items()})

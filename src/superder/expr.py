@@ -24,7 +24,7 @@ derivation.  The outer coefficient q follows the same rational rule:
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Tuple
 
 from .algebra import (
     CENTRAL_KINDS,
@@ -36,18 +36,13 @@ from .algebra import (
     Element,
     IndexNotInSectorError,
     KindNotInFamilyError,
+    PositionedError,
 )
 from .derivations import SuperDerivation, has_outer
 
 
-class ParseError(ValueError):
+class ParseError(PositionedError):
     """A surface-syntax error, with the offending position."""
-
-    def __init__(self, message: str, position: Optional[int] = None):
-        if position is not None:
-            message = "%s (at position %d)" % (message, position)
-        super().__init__(message)
-        self.position = position
 
 
 # ASCII only: ``str.isdigit`` also accepts other scripts and superscripts.
@@ -133,8 +128,7 @@ def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
         kind = KIND_C1 if nxt == "1" else KIND_C2
     if kind not in family.kinds:
         raise KindNotInFamilyError(
-            "kind %r does not exist in family %r (at position %d)"
-            % (kind, family.value, start), start)
+            "kind %r does not exist in family %r" % (kind, family.value), start)
     if kind in CENTRAL_KINDS:
         return BasisVector(family, kind)
     s.expect("[")
@@ -143,10 +137,8 @@ def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
     s.expect("]")
     try:
         return BasisVector(family, kind, index)
-    except IndexNotInSectorError:
-        raise IndexNotInSectorError(
-            "index %s is outside the legal sector for %s in family %s (at position %d)"
-            % (index, kind, family.value, idx_pos), idx_pos) from None
+    except IndexNotInSectorError as exc:
+        raise IndexNotInSectorError(exc.args[0], idx_pos) from None
 
 
 def _parse_rational(s: _Scanner) -> Fraction:

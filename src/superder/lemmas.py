@@ -30,34 +30,30 @@ def _window_table(family: AlgebraFamily, bound):
 
     Reads each needed constant once through ``bracket_terms``: every pair
     of window vectors, then each window vector against every vector those
-    brackets reach, in both orders.  Vectors get int ids, window vectors
-    first in window order.  Returns ``(parities, rows)``: ``parities[i]`` of
-    window vector i, and ``rows[a][b]`` = the bracket of vectors a and b as
-    ((id, constant), ...), defined for a window vector a against any b, and
-    for a reached vector a against a window vector b.  Brackets with reached
-    vectors may give vectors further out; those get ids but no rows.
+    brackets reach, in both orders.  Vectors get int ids in the order they
+    are reached, window vectors first in window order.  Returns
+    ``(parities, rows)``: ``parities[i]`` of window vector i, and
+    ``rows[a][b]`` = the bracket of vectors a and b as ((id, constant), ...),
+    defined for a window vector a against any b, and for a reached vector a
+    against a window vector b.  Brackets with reached vectors may give
+    vectors further out; those get ids but no rows.
 
     The constants are the ints of ``bracket_terms``, 12 times the true
     ones.  Each Jacobiator is then 144 times the true one and each
     antisymmetry sum 12 times, so the violation counts are exact.
     """
     window = GradedWindow(bound).basis_vectors(family)
-    raw = {(u, v): bracket_terms(u, v) for u in window for v in window}
-    inside = set(window)
-    outside = list(dict.fromkeys(w for terms in raw.values() for w, _ in terms
-                                 if w not in inside))
-    for u in window:
-        for x in outside:
-            raw[u, x] = bracket_terms(u, x)
-            raw[x, u] = bracket_terms(x, u)
-    everything = window + tuple(outside)
-    ids = {vec: i for i, vec in enumerate(everything)}
+    ids = {vec: i for i, vec in enumerate(window)}
 
     def row(u, columns):
-        return [tuple((ids.setdefault(w, len(ids)), c) for w, c in raw[u, v])
+        return [tuple((ids.setdefault(w, len(ids)), c) for w, c in bracket_terms(u, v))
                 for v in columns]
 
-    rows = [row(u, everything) for u in window] + [row(x, window) for x in outside]
+    rows = [row(u, window) for u in window]
+    reached = tuple(ids)[len(window):]
+    for u, ru in zip(window, rows):
+        ru += row(u, reached)
+    rows += [row(x, window) for x in reached]
     return [u.parity for u in window], rows
 
 

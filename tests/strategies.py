@@ -62,3 +62,49 @@ def raw_maps(family, bound=1, max_entries=5):
                       st.sampled_from(NONZERO_RATIONALS))
     return st.dictionaries(st.sampled_from(pool), image, max_size=max_entries) \
         .map(lambda table: RawLinearMap(family, table))
+
+
+# Pieces of the surface grammar.  Which of them a family accepts varies:
+# kinds and half-odd indices exist only in some families.
+_COEFFICIENTS = ("", "2*", "-1/3*", "1/2*", "0*")
+_GENERATORS = ("L", "G", "I", "Q")
+_CENTRALS = ("C", "C1", "C2")
+_INDICES = ("[0]", "[1]", "[-2]", "[1/2]", "[-3/2]")
+_OUTER_PARTS = ("D", "-D", "3*D", "-1/2*D", "0*D")
+# Characters outside the grammar, or in the wrong place: non-ASCII digits,
+# underscores, decimal points, exponents and unbalanced brackets.
+_JUNK = (" ", "_", ".", "e", "٣", "²", "[", "]", "(", ")")
+_TOKENS = _GENERATORS + _CENTRALS + _JUNK + ("D", "ad(", "+", "-", "*", "/", "0", "1", "12")
+
+
+def _expressions(family):
+    own = st.sampled_from(family.noncentral_kinds) | st.sampled_from(family.central_kinds)
+    kind = own | own | st.sampled_from(_GENERATORS + _CENTRALS)
+    generator = st.tuples(kind, st.sampled_from(_INDICES)).map(
+        lambda t: t[0] if t[0] in _CENTRALS else "".join(t))
+    term = st.tuples(st.sampled_from(_COEFFICIENTS), generator).map("".join)
+    sign = st.sampled_from(("", "-", "+", " + ", " - "))
+    first = st.tuples(sign, term).map("".join)
+    rest = st.lists(st.tuples(st.sampled_from(("+", "-", " + ", " - ")), term).map("".join),
+                    max_size=3).map("".join)
+    return st.just("0") | st.tuples(first, rest).map("".join)
+
+
+def _derivations(family):
+    outer = st.sampled_from(_OUTER_PARTS)
+    ad = _expressions(family).map("ad({})".format)
+    joined = st.tuples(ad, st.sampled_from((" + ", " - ", "+", "*")), outer).map("".join)
+    return st.just("0") | outer | ad | joined
+
+
+@st.composite
+def surface_strings(draw, family, derivations=False):
+    """Strings over the element grammar (or the derivation grammar), mostly
+    of the family's own kinds, then with up to two junk tokens spliced in;
+    or a soup of grammar and junk tokens."""
+    soup = st.lists(st.sampled_from(_TOKENS), max_size=12).map("".join)
+    text = draw((_derivations(family) if derivations else _expressions(family)) | soup)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_TOKENS)) + text[at:]
+    return text

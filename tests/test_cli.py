@@ -282,6 +282,16 @@ class TestErrors:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("algebra", ["", 0, False, None])
+    def test_malformed_config_algebra(self, capsys, tmp_path, algebra):
+        # A present but malformed key is an error, not a fall back to vir.
+        path = tmp_path / "conf.json"
+        path.write_text(json.dumps({"algebra": algebra}))
+        code, out, err = run(capsys, "annihilate", "L[1]", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ValueError: unknown algebra family")
+
     def test_negative_random_count(self, capsys):
         code, out, err = run(capsys, *TestGlobalize.HONEST, "--random", "-3")
         assert code == 2

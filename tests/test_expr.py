@@ -1,5 +1,8 @@
 """Surface syntax: parsing, canonical printing, and round trips."""
 
+import contextlib
+import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,7 @@ from superder import (
     parse_element,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_G, KIND_I, KIND_L
+from superder.cli import run_command
 from superder.expr import MAX_DIGITS, parse_integer, parse_rational
 
 import strategies as sg
@@ -209,10 +213,11 @@ class TestParseDerivation:
         assert parse_derivation("ad(C)", VIR).is_zero
 
     def test_outer_part_outside_sw22(self):
-        with pytest.raises(KindNotInFamilyError):
-            parse_derivation("D", SVIR0)
-        with pytest.raises(KindNotInFamilyError):
-            parse_derivation("ad(L[0]) + 2*D", SVIR12)
+        for src, family, position in (("D", SVIR0, 0), ("ad(L[0]) + 2*D", SVIR12, 10)):
+            with pytest.raises(KindNotInFamilyError) as exc:
+                parse_derivation(src, family)
+            assert exc.value.position == position
+            assert str(exc.value).endswith("(at position %d)" % position)
 
     @pytest.mark.parametrize("src", [
         "ad(L[1]",            # unclosed
@@ -276,3 +281,38 @@ class TestFormatDerivation:
         d = data.draw(sg.super_derivations(family), label="d")
         text = format_derivation(d)
         assert parse_derivation(text, family) == d
+
+
+class TestFuzzGrammars:
+    """Both grammars on strings of their own tokens mixed with junk: an
+    accepted string round-trips through its canonical form, and a rejected
+    one raises a positioned input error, which the CLI reports with exit
+    code 2."""
+
+    GRAMMARS = {
+        "element": (parse_element, format_element, "bracket", ("L[0]",)),
+        "derivation": (parse_derivation, format_derivation, "defect",
+                       ("L[0]", "L[0]")),
+    }
+
+    @pytest.mark.parametrize("grammar", sorted(GRAMMARS))
+    @given(data=st.data())
+    def test_accepted_or_positioned(self, grammar, data):
+        parse, fmt, command, operands = self.GRAMMARS[grammar]
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        src = data.draw(sg.surface_strings(family, grammar == "derivation"), label="src")
+        try:
+            value = parse(src, family)
+        except (ParseError, KindNotInFamilyError, IndexNotInSectorError) as exc:
+            assert type(exc.position) is int and 0 <= exc.position <= len(src)
+            assert str(exc).endswith("(at position %d)" % exc.position)
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = run_command([command, "--json", "--algebra", family.value,
+                                    "--", src, *operands])
+            assert code == 2
+            assert json.loads(out.getvalue())["error"]["position"] == exc.position
+            return
+        text = fmt(value)
+        assert parse(text, family) == value
+        assert fmt(parse(text, family)) == text
