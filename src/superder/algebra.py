@@ -17,9 +17,11 @@ constant is a multiple of 1/12, so the structure table (``bracket_terms``)
 returns it as the ``int`` 12 times its value, and bracket sums stay in
 machine integers until one division per output term.  One private
 accumulator does those sums for ``bracket`` and ``ad_images``, so no other
-module sees an unreduced sum.  There is no floating
-point anywhere in this package: a coefficient, index or bound that is not an
-``int`` or a ``Fraction`` (a float, a string) is a ``TypeError``.
+module sees an unreduced sum.  A basis vector is a tuple of three ints, so
+its hash, equality and canonical order are the tuple's, computed in C.  There
+is no floating point anywhere in this package: a coefficient, index or bound
+that is not an ``int`` or a ``Fraction`` (a float, a string) is a
+``TypeError``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import attrgetter
 from typing import Iterable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -106,7 +107,8 @@ _FAMILY_KINDS = {
     AlgebraFamily.SVIR12: (KIND_L, KIND_G, KIND_C),
     AlgebraFamily.SW22: (KIND_L, KIND_G, KIND_I, KIND_Q, KIND_C1, KIND_C2),
 }
-_FAMILY_RANK = {family: rank for rank, family in enumerate(AlgebraFamily)}
+_FAMILIES = tuple(AlgebraFamily)
+_FAMILY_RANK = {family: rank for rank, family in enumerate(_FAMILIES)}
 
 
 def exact(value: Scalar) -> Fraction:
@@ -124,19 +126,14 @@ def sector_denominator(family: AlgebraFamily, kind: str) -> int:
     return 2 if kind == KIND_G and family is AlgebraFamily.SVIR12 else 1
 
 
-class BasisVector:
-    """One generator of an algebra family, identified by kind and index.
+class BasisVector(tuple):
+    """One generator of an algebra family, stored as the int tuple
+    ``(kind rank, 2 * index, family rank)``: every legal index lies in
+    (1/2)Z, and a central kind's index is normalised to 0."""
 
-    Central kinds carry no meaningful index; it is normalised to 0.  Every
-    legal index lies in (1/2)Z, so it is stored exactly as the int
-    ``2 * index``; the hash and the canonical sort key come from the int
-    tuple ``(kind rank, 2 * index, family rank)``, computed once.  Instances
-    are immutable.
-    """
+    __slots__ = ()
 
-    __slots__ = ("family", "kind", "_twice", "_key", "_hash")
-
-    def __init__(self, family: AlgebraFamily, kind: str, index: Scalar = 0):
+    def __new__(cls, family: AlgebraFamily, kind: str, index: Scalar = 0):
         if kind not in family.kinds:
             raise KindNotInFamilyError(
                 "kind %r does not exist in family %r" % (kind, family.value))
@@ -149,23 +146,22 @@ class BasisVector:
                     "index %s is outside the legal sector for %s in family %s"
                     % (idx, kind, family.value))
             twice = 2 * idx.numerator // idx.denominator
-        key = (_KIND_RANK[kind], twice, _FAMILY_RANK[family])
-        for name, value in (("family", family), ("kind", kind), ("_twice", twice),
-                            ("_key", key), ("_hash", hash(key))):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (_KIND_RANK[kind], twice, _FAMILY_RANK[family]))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("BasisVector is immutable")
+    def __getnewargs__(self):
+        return (self.family, self.kind, self.index)
 
-    def __delattr__(self, name):
-        raise AttributeError("BasisVector is immutable")
+    @property
+    def family(self) -> AlgebraFamily:
+        return _FAMILIES[self[2]]
 
-    def __reduce__(self):
-        return (BasisVector, (self.family, self.kind, self.index))
+    @property
+    def kind(self) -> str:
+        return KIND_ORDER[self[0]]
 
     @property
     def index(self) -> Fraction:
-        return Fraction(self._twice, 2)
+        return Fraction(self[1], 2)
 
     @property
     def parity(self) -> int:
@@ -179,27 +175,11 @@ class BasisVector:
     def token(self) -> str:
         if self.kind in CENTRAL_KINDS:
             return self.kind
-        t = self._twice
+        t = self[1]
         return "%s[%s]" % (self.kind, t // 2 if t % 2 == 0 else "%d/2" % t)
-
-    def sort_key(self) -> Tuple[int, int, int]:
-        return self._key
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if other.__class__ is not BasisVector:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         return "BasisVector(%s, %s)" % (self.family.value, self.token())
-
-
-_SORT_KEY = attrgetter("_key")
 
 
 class Element:
@@ -229,7 +209,7 @@ class Element:
                 prev = acc.get(bv)
                 acc[bv] = c if prev is None else prev + c
         self.family = family
-        self.terms = {b: acc[b] for b in sorted(acc, key=_SORT_KEY) if acc[b]}
+        self.terms = {b: acc[b] for b in sorted(acc) if acc[b]}
 
     @classmethod
     def _canonical(cls, family: AlgebraFamily, terms: dict) -> "Element":
@@ -386,13 +366,13 @@ def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, in
     """
     entry = _STRUCTURE.get((u.kind, v.kind))
     if entry is not None:
-        return _shape_terms(u.family, *entry, u._twice, v._twice)
+        return _shape_terms(u.family, *entry, u[1], v[1])
     entry = _STRUCTURE.get((v.kind, u.kind))
     if entry is not None:
         # Super anti-symmetry: [u, v] = -(-1)^{|u||v|} [v, u].
         sign = 1 if (u.parity and v.parity) else -1
         return tuple((w, sign * c)
-                     for w, c in _shape_terms(u.family, *entry, v._twice, u._twice))
+                     for w, c in _shape_terms(u.family, *entry, v[1], u[1]))
     return ()
 
 
@@ -432,7 +412,7 @@ def bracket(x: Element, y: Element) -> Element:
     acc = _accumulate(x.terms.items(),
                       [(v, c.numerator, c.denominator) for v, c in y.terms.items()])
     out = {}
-    for w in sorted(acc, key=_SORT_KEY):
+    for w in sorted(acc):
         n, d = acc[w]
         if n:
             out[w] = Fraction(n, d)

@@ -93,7 +93,7 @@ def image_matrix(images: Dict[Hashable, Dict[BasisVector, Fraction]]) -> Labeled
     the images, sorted once into canonical order.
     """
     entries = {(b, tag): c for tag, terms in images.items() for b, c in terms.items()}
-    rows = tuple(sorted({b for b, _ in entries}, key=BasisVector.sort_key))
+    rows = tuple(sorted({b for b, _ in entries}))
     return LabeledMatrix(rows, tuple(images), entries)
 
 

@@ -283,17 +283,16 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _print_error(exc: BaseException, as_json: bool,
-                 position: Optional[int] = None) -> None:
+def _print_error(exc: BaseException, as_json: bool) -> None:
     info = {"type": type(exc).__name__, "message": str(exc)}
+    # Parse, kind and sector errors carry their input position in the message.
+    position = getattr(exc, "position", None)
     if position is not None:
         info["position"] = position
     if as_json:
         print(json.dumps({"error": info}, indent=2))
     else:
-        where = " (position %d)" % position if position is not None else ""
-        print("error: %s%s: %s" % (info["type"], where, info["message"]),
-              file=sys.stderr)
+        print("error: %s: %s" % (info["type"], info["message"]), file=sys.stderr)
 
 
 def run_command(argv=None) -> int:
@@ -323,8 +322,7 @@ def _run(argv) -> int:
         _print_error(exc, as_json)
         return 1
     except (ValueError, OSError) as exc:
-        # Parse, kind and sector errors carry the offending input position.
-        _print_error(exc, as_json, getattr(exc, "position", None))
+        _print_error(exc, as_json)
         return 2
 
 

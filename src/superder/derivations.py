@@ -158,7 +158,7 @@ class RawLinearMap:
 
     def __post_init__(self):
         clean = {}
-        for bv, img in sorted(self.table.items(), key=lambda t: t[0].sort_key()):
+        for bv, img in sorted(self.table.items()):
             if bv.family is not self.family or img.family is not self.family:
                 raise FamilyMismatchError("raw map table mixes families")
             if not img.is_zero:

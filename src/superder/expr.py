@@ -250,6 +250,7 @@ def format_derivation(d: SuperDerivation) -> str:
 
 def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction:
     """``[rational '*'] 'D'`` up to the end of the input, times ``sign``."""
+    s.skip_ws()
     if not has_outer(family):
         raise KindNotInFamilyError(
             "the outer derivation direction exists only in family sw22", s.pos)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,16 @@ def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_parse_error_line(err, position=None):
+    """One stderr line naming the ParseError, with the position once, at the
+    end of the message."""
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert err.startswith("error: ParseError: ")
+    assert err.count("position") == 1
+    at = r"\d+" if position is None else str(position)
+    assert re.search(r" \(at position %s\)\n$" % at, err)
 
 
 class TestBracket:
@@ -221,7 +232,7 @@ class TestErrors:
         code, out, err = run(capsys, "bracket", "L[2", "L[0]")
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ParseError (position 3):")
+        assert_parse_error_line(err, 3)
 
     @pytest.mark.parametrize("coeff", ["1.5", "1e2"])
     def test_non_rational_outer_coefficient(self, capsys, coeff):
@@ -229,7 +240,7 @@ class TestErrors:
                              "--oracle", "honest:ad(L[1]) + %s*D" % coeff)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ParseError (position 12):")
+        assert_parse_error_line(err, 12)
 
     def test_position_inside_ad_indexes_the_argument(self, capsys):
         code, out, _ = run(capsys, "defect", "--json", "--algebra", "sw22",
@@ -264,7 +275,7 @@ class TestErrors:
         code, out, err = run(capsys, "jacobi", "--bound", bound)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ParseError (position 1):")
+        assert_parse_error_line(err, 1)
 
     def test_mask_bound_follows_rational_grammar(self, capsys):
         code, _, err = run(capsys, *TestGlobalize.HONEST, "--mask-bound", "1e1")
@@ -363,7 +374,7 @@ class TestErrors:
         code, out, err = run(capsys, *TestGlobalize.HONEST, flag, value)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ParseError (position %d):" % position)
+        assert_parse_error_line(err, position)
 
     @pytest.mark.parametrize("argv, position", [
         (["jacobi", "--bound", "1" * (MAX_DIGITS + 1)], MAX_DIGITS),
@@ -385,7 +396,7 @@ class TestErrors:
         code, out, err = run(capsys, *TestGlobalize.HONEST)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ParseError (position")
+        assert_parse_error_line(err)
 
     def test_negative_seed_is_an_integer(self, capsys):
         assert run(capsys, *TestGlobalize.HONEST, "--seed", "-4")[0] == 0

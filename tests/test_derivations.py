@@ -242,7 +242,7 @@ def mixed_maps(family):
 
 def assert_canonical(z):
     """Nonzero reduced Fraction coefficients, in canonical term order."""
-    assert list(z.terms) == sorted(z.terms, key=BasisVector.sort_key)
+    assert list(z.terms) == sorted(z.terms)
     for c in z.terms.values():
         assert type(c) is Fraction and c != 0
         assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1

@@ -213,7 +213,8 @@ class TestParseDerivation:
         assert parse_derivation("ad(C)", VIR).is_zero
 
     def test_outer_part_outside_sw22(self):
-        for src, family, position in (("D", SVIR0, 0), ("ad(L[0]) + 2*D", SVIR12, 10)):
+        for src, family, position in (("D", SVIR0, 0), ("ad(L[0]) + 2*D", SVIR12, 11),
+                                       ("ad(L[0]) +   D", SVIR12, 13)):
             with pytest.raises(KindNotInFamilyError) as exc:
                 parse_derivation(src, family)
             assert exc.value.position == position
