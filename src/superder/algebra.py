@@ -14,14 +14,13 @@ constants:
 
 Every element coefficient is a ``fractions.Fraction``.  Every structure
 constant is a multiple of 1/12, so the structure table (``bracket_terms``)
-returns it as the ``int`` 12 times its value, and bracket sums stay in
-machine integers until one division per output term.  One private
-accumulator does those sums for ``bracket`` and ``ad_images``, so no other
-module sees an unreduced sum.  A basis vector is a tuple of three ints, so
-its hash, equality and canonical order are the tuple's, computed in C.  There
-is no floating point anywhere in this package: a coefficient, index or bound
-that is not an ``int`` or a ``Fraction`` (a float, a string) is a
-``TypeError``.
+returns it as the ``int`` 12 times its value; ``bracket`` sums stay in
+machine integers until one division per output term, and the annihilator
+solve reads the ints into integer matrix rows.  A basis vector is a tuple of
+three ints, so its hash, equality and canonical order are the tuple's,
+computed in C.  There is no floating point anywhere in this package: a
+coefficient, index or bound that is not an ``int`` or a ``Fraction`` (a
+float, a string) is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -49,6 +48,8 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(KIND_ORDER)}
 
 CENTRAL_KINDS = frozenset((KIND_C, KIND_C1, KIND_C2))
 ODD_KINDS = frozenset((KIND_G, KIND_Q))
+_CENTRAL_RANKS = frozenset(_KIND_RANK[k] for k in CENTRAL_KINDS)
+_ODD_RANKS = frozenset(_KIND_RANK[k] for k in ODD_KINDS)
 
 
 class FamilyMismatchError(ValueError):
@@ -166,11 +167,11 @@ class BasisVector(tuple):
     @property
     def parity(self) -> int:
         """0 for even generators, 1 for odd ones."""
-        return 1 if self.kind in ODD_KINDS else 0
+        return 1 if self[0] in _ODD_RANKS else 0
 
     @property
     def is_central(self) -> bool:
-        return self.kind in CENTRAL_KINDS
+        return self[0] in _CENTRAL_RANKS
 
     def token(self) -> str:
         if self.kind in CENTRAL_KINDS:
@@ -199,8 +200,9 @@ class Element:
                               Iterable[Tuple[BasisVector, Scalar]]] = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict = {}
+        rank = _FAMILY_RANK[family]
         for bv, c in items:
-            if bv.family is not family:
+            if bv[2] != rank:
                 raise FamilyMismatchError(
                     "basis vector %r does not belong to family %r"
                     % (bv.token(), family.value))
@@ -246,24 +248,19 @@ class Element:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _require_same_family(self, other: "Element"):
+    def __add__(self, other: "Element") -> "Element":
+        if not isinstance(other, Element):
+            return NotImplemented
         if self.family is not other.family:
             raise FamilyMismatchError(
                 "cannot combine elements of families %r and %r"
                 % (self.family.value, other.family.value))
-
-    def __add__(self, other: "Element") -> "Element":
-        if not isinstance(other, Element):
-            return NotImplemented
-        self._require_same_family(other)
         return Element(self.family, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other: "Element") -> "Element":
         if not isinstance(other, Element):
             return NotImplemented
-        self._require_same_family(other)
-        return Element(self.family, chain(self.terms.items(),
-                                          ((b, -c) for b, c in other.terms.items())))
+        return self + -other
 
     def __neg__(self) -> "Element":
         return Element._canonical(self.family, {b: -c for b, c in self.terms.items()})
@@ -376,17 +373,18 @@ def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, in
     return ()
 
 
-def _accumulate(xs: Iterable[Tuple[BasisVector, Scalar]], ys: list) -> dict:
-    """The bracket of (vector, coefficient) pairs ``xs``, read in place, with
-    (vector, numerator, denominator) int triples ``ys``: a dict from vectors
-    to unreduced ``[numerator, denominator > 0]`` int pairs.
+def bracket(x: Element, y: Element) -> Element:
+    """Graded Lie bracket, extended bilinearly from the basis brackets.
 
-    Numerators are added directly when the denominators agree, so the loop
-    does no gcd; the table's ``STRUCTURE_DENOMINATOR`` goes into the
-    denominator once per term of ``xs``.  Zero sums stay in the dict.
-    """
+    Sums stay unreduced ``[numerator, denominator]`` int pairs, added with no
+    gcd when the denominators agree, and each output term is reduced once."""
+    if x.family is not y.family:
+        raise FamilyMismatchError(
+            "cannot bracket elements of families %r and %r"
+            % (x.family.value, y.family.value))
+    ys = [(v, c.numerator, c.denominator) for v, c in y.terms.items()]
     acc = {}
-    for u, cu in xs:
+    for u, cu in x.terms.items():
         un, ud = cu.numerator, STRUCTURE_DENOMINATOR * cu.denominator
         for v, vn, vd in ys:
             n0, d = un * vn, ud * vd
@@ -400,30 +398,9 @@ def _accumulate(xs: Iterable[Tuple[BasisVector, Scalar]], ys: list) -> dict:
                 else:
                     pair[0] = pair[0] * d + n * pair[1]
                     pair[1] *= d
-    return acc
-
-
-def bracket(x: Element, y: Element) -> Element:
-    """Graded Lie bracket, extended bilinearly from the basis brackets."""
-    if x.family is not y.family:
-        raise FamilyMismatchError(
-            "cannot bracket elements of families %r and %r"
-            % (x.family.value, y.family.value))
-    acc = _accumulate(x.terms.items(),
-                      [(v, c.numerator, c.denominator) for v, c in y.terms.items()])
     out = {}
     for w in sorted(acc):
         n, d = acc[w]
         if n:
             out[w] = Fraction(n, d)
     return Element._canonical(x.family, out)
-
-
-def ad_images(generators: Iterable[BasisVector], y: Element) -> dict:
-    """``{g: [g, y]}`` for basis vectors ``g`` of y's family, each bracket a
-    term map of nonzero reduced Fractions in the order its vectors are
-    reached, not sorted.  The terms of ``y`` are read once for all of them.
-    """
-    ys = [(v, c.numerator, c.denominator) for v, c in y.terms.items()]
-    return {g: {w: Fraction(n, d) for w, (n, d) in _accumulate(((g, 1),), ys).items() if n}
-            for g in generators}

@@ -5,9 +5,9 @@ directions are the coordinates of ``SuperDerivation.coords``: every
 non-central basis vector whose index has absolute value at most the bound,
 then the outer direction ``OUTER_TAG`` in families that have one.  Images of
 the generators may reach indices up to twice the bound; rows of the
-evaluation matrix follow the data and are never clipped.  The generator
-columns are one ``ad_images`` call, which reads the target's terms once for
-every column; ``image_matrix`` sorts the rows once.
+evaluation matrix follow the data and are never clipped.  One private
+builder reads the table's ints into integer rows for the window solve and
+the pair masks of ``two_local``; ``evaluation_matrix`` is their exact view.
 
 Choosing the bound is the caller's responsibility, and no default is known
 to be enough.  The CLI defaults to 2 * (largest absolute index in the
@@ -26,21 +26,24 @@ keeps its tuples the same way.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .algebra import (
+    STRUCTURE_DENOMINATOR,
     AlgebraFamily,
     BasisVector,
     Element,
-    ad_images,
+    Scalar,
+    bracket_terms,
     exact,
     sector_denominator,
 )
-from .derivations import OUTER_TAG, SuperDerivation, has_outer, outer_action
-from .linalg import LabeledMatrix, kernel_basis, rank
+from .derivations import _OUTER_FIXED_KINDS, OUTER_TAG, SuperDerivation, has_outer
+from .linalg import LabeledMatrix, _kernel, rank
 
 
 class ZeroTargetError(ValueError):
@@ -86,15 +89,44 @@ class GradedWindow:
                                                for kind in family.central_kinds)
 
 
-def image_matrix(images: Dict[Hashable, Dict[BasisVector, Fraction]]) -> LabeledMatrix:
-    """Matrix whose column ``tag`` holds the term map ``images[tag]``.
+def _image_rows(columns: Sequence[Tuple[Iterable[Tuple[BasisVector, Scalar]], Scalar]],
+                y: Element) -> Tuple[Dict[BasisVector, Dict[int, int]], int]:
+    """The images at ``y`` of the derivations ``ad(inner) + lam * D``, one
+    column per ``(inner terms, lam)``, as integer rows ``{row vector:
+    {column index: int}}`` and their common denominator: 12 (the table's)
+    times the lcm of the columns' denominators times the lcm of y's.  Zero
+    entries and empty rows are dropped; rows come in the order reached."""
+    dc = math.lcm(*(c.denominator for inner, _ in columns for _, c in inner),
+                  *(lam.denominator for _, lam in columns))
+    dy = math.lcm(*(c.denominator for c in y.terms.values()))
+    ys = [(v, c.numerator * (dy // c.denominator)) for v, c in y.terms.items()]
+    fixed = [(v, STRUCTURE_DENOMINATOR * n) for v, n in ys if v.kind in _OUTER_FIXED_KINDS]
+    rows: Dict[BasisVector, Dict[int, int]] = defaultdict(dict)
+    for j, (inner, lam) in enumerate(columns):
+        for u, cu in inner:
+            a = cu.numerator * (dc // cu.denominator)
+            for v, vn in ys:
+                n = a * vn
+                for w, k in bracket_terms(u, v):
+                    row = rows[w]
+                    row[j] = row.get(j, 0) + n * k
+        if lam:
+            a = lam.numerator * (dc // lam.denominator)
+            for w, n in fixed:
+                row = rows[w]
+                row[j] = row.get(j, 0) + a * n
+    return ({w: nz for w, row in rows.items() if (nz := {j: n for j, n in row.items() if n})},
+            STRUCTURE_DENOMINATOR * dc * dy)
 
-    Columns follow the dict order; rows are the basis vectors that appear in
-    the images, sorted once into canonical order.
-    """
-    entries = {(b, tag): c for tag, terms in images.items() for b, c in terms.items()}
-    rows = tuple(sorted({b for b, _ in entries}))
-    return LabeledMatrix(rows, tuple(images), entries)
+
+def _window_rows(target: Element, window: GradedWindow):
+    """``_image_rows`` of the window directions at the target."""
+    if target.is_zero:
+        raise ZeroTargetError("the annihilator of the zero element is everything")
+    columns = [(((g, 1),), 0) for g in window.generators(target.family)]
+    if has_outer(target.family):
+        columns.append(((), 1))
+    return _image_rows(columns, target)
 
 
 def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
@@ -102,14 +134,14 @@ def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
 
     Columns are the window directions (generators acting through ad, then
     the outer tag); rows are tagged by the basis vectors that actually
-    appear in the images.
+    appear in the images, in canonical order.  This is the exact view of the
+    integer rows that ``annihilator_basis`` solves.
     """
-    if target.is_zero:
-        raise ZeroTargetError("the annihilator of the zero element is everything")
-    images = ad_images(window.generators(target.family), target)
-    if has_outer(target.family):
-        images[OUTER_TAG] = outer_action(target).terms
-    return image_matrix(images)
+    rows, den = _window_rows(target, window)
+    cols = window.directions(target.family)
+    order = tuple(sorted(rows))
+    return LabeledMatrix(order, cols, {(w, cols[j]): Fraction(n, den)
+                                       for w in order for j, n in rows[w].items()})
 
 
 @dataclass(frozen=True)
@@ -138,8 +170,9 @@ def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     Results are memoised on (target, window), keeping the 256 most recently
     used.
     """
+    rows, _ = _window_rows(target, window)
     basis = tuple(SuperDerivation.from_coords(target.family, vec)
-                  for vec in kernel_basis(evaluation_matrix(target, window)))
+                  for vec in _kernel(window.directions(target.family), rows.values()))
     return DerivationSpace(basis, window, target)
 
 

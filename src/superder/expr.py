@@ -183,11 +183,6 @@ def _parse_coefficient(s: _Scanner) -> Fraction:
     return coeff
 
 
-def _parse_term(s: _Scanner, family: AlgebraFamily) -> Tuple[BasisVector, Fraction]:
-    coeff = _parse_coefficient(s)
-    return _parse_gen(s, family), coeff
-
-
 def _parse_expr(s: _Scanner, family: AlgebraFamily, closer: str = "") -> Element:
     """``'0'`` or ``expr``, up to the end of the input or the closer."""
     start = s.pos
@@ -205,8 +200,8 @@ def _parse_expr(s: _Scanner, family: AlgebraFamily, closer: str = "") -> Element
     terms = []
     op = s.take() if s.peek() in ("+", "-") else "+"
     while True:
-        bv, c = _parse_term(s, family)
-        terms.append((bv, c if op == "+" else -c))
+        c = _parse_coefficient(s)  # term := [rational '*'] gen
+        terms.append((_parse_gen(s, family), c if op == "+" else -c))
         if done():
             return Element(family, terms)
         op = s.take()

@@ -120,16 +120,9 @@ def outer_derivation_defect_sweep(bound=3) -> Tuple[int, int]:
     """Leibniz defects of the sw22 outer derivation over basis pairs."""
     family = AlgebraFamily.SW22
     outer = parse_derivation("D", family)
-    vecs = GradedWindow(bound).basis_vectors(family)
-    violations = 0
-    pairs = 0
-    for u in vecs:
-        xu = Element.basis(u)
-        for v in vecs:
-            pairs += 1
-            if not leibniz_defect(outer, xu, Element.basis(v)).is_zero:
-                violations += 1
-    return violations, pairs
+    vecs = [Element.basis(u) for u in GradedWindow(bound).basis_vectors(family)]
+    violations = sum(not leibniz_defect(outer, x, y).is_zero for x in vecs for y in vecs)
+    return violations, len(vecs) ** 2
 
 
 # -- named suites ---------------------------------------------------------------

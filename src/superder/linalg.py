@@ -1,14 +1,15 @@
 """Exact linear algebra over the rationals for label-indexed sparse matrices.
 
 One elimination routine serves kernels, ranks and span membership: a sparse,
-fraction-free Gauss-Jordan elimination over primitive integer rows.  A row is
-a dict from column index to a nonzero int, scaled so that its entries have no
-common factor; a row operation ``p*a - q*b`` touches only the union of the two
-supports and is divided by its gcd again.  The matrices met here are graded
-by degree and nearly empty, so the cost follows the nonzero entries rather
-than the rows times columns.  The entries are read once into primitive
-integer rows, and the forward pass takes them shortest first, so long rows
-are reduced against sparse pivots instead of filling in through each other.
+fraction-free Gauss-Jordan elimination over integer rows, dicts from column
+index to nonzero int at any scale; a row operation ``p*a - q*b`` touches only
+the union of the two supports and is divided by its gcd.  The matrices met
+here are graded by degree and nearly empty, so the cost follows the nonzero
+entries rather than the rows times columns.  The annihilator solve builds its
+integer rows straight from the structure table; ``kernel_basis`` and ``rank``
+read a ``LabeledMatrix``'s entries into them over one common denominator.
+The forward pass takes rows shortest first, so long rows are reduced against
+sparse pivots instead of filling in through each other.
 Each row is pivoted on its *last* nonzero column, so after back substitution
 it has entries only at its pivot and at free columns left of it.  The kernel
 vector of a free column f then has its unit leading entry at f, every other
@@ -22,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, Sequence, Tuple
 
 IntRow = Dict[int, int]
 
@@ -57,26 +58,24 @@ class LabeledMatrix:
         return (len(self.row_labels), len(self.col_labels))
 
 
-def _primitive(row: Dict[int, Fraction]) -> IntRow:
-    """Scale a nonzero sparse rational row to a primitive integer row."""
-    den = math.lcm(*(x.denominator for x in row.values()))
-    ints = {j: x.numerator * (den // x.denominator) for j, x in row.items()}
-    g = math.gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()} if g > 1 else ints
-
-
-def _int_rows(m: LabeledMatrix) -> List[IntRow]:
-    """The nonzero rows of m as primitive integer rows over column indices,
-    gathered in one pass over the entries."""
+def _int_rows(m: LabeledMatrix) -> Iterable[IntRow]:
+    """The nonzero rows of m as integer rows over column indices, all scaled
+    by the lcm of the entries' denominators, gathered in one pass."""
     col_index = {c: j for j, c in enumerate(m.col_labels)}
-    rows: Dict[Hashable, Dict[int, Fraction]] = {}
+    den = math.lcm(*(v.denominator for v in m.entries.values()))
+    rows: Dict[Hashable, IntRow] = {}
     for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[col_index[c]] = v
-    return [_primitive(row) for row in rows.values()]
+        rows.setdefault(r, {})[col_index[c]] = v.numerator * (den // v.denominator)
+    return rows.values()
 
 
 def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
-    """``p*a - q*b`` with the entry in ``col`` cancelled, divided by its gcd."""
+    """``p*a - q*b`` with the entry in ``col`` cancelled, divided by its gcd;
+    against a one-entry row, just ``a`` without ``col``."""
+    if len(b) == 1:
+        out = a.copy()
+        del out[col]
+        return out
     p, q = b[col], a[col]
     g = math.gcd(p, q)
     p, q = p // g, q // g
@@ -92,7 +91,7 @@ def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
 
 
 def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
-    """Forward pass: primitive integer echelon rows keyed by pivot column,
+    """Forward pass: integer echelon rows keyed by pivot column,
     each pivot the last nonzero column of its row.
 
     Rows are taken shortest first, so the long ones are reduced against
@@ -115,17 +114,11 @@ def rank(m: LabeledMatrix) -> int:
     return len(_echelon(_int_rows(m)))
 
 
-def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
-    """Canonical basis of the right kernel, as sparse coefficient vectors.
-
-    Each vector maps column labels to nonzero Fractions.  The basis is the
-    reduced echelon basis of the kernel subspace over the column order: every
-    vector has a unit pivot coefficient and zeros above and below the pivots
-    of the other vectors, which makes the output unique and deterministic.
-    Exactness contract: ``m @ v == 0`` holds with no tolerance.
-    """
-    cols = m.col_labels
-    pivots = _echelon(_int_rows(m))
+def _kernel(cols: Sequence[Hashable],
+            rows: Iterable[IntRow]) -> Tuple[Dict[Hashable, Fraction], ...]:
+    """``kernel_basis`` of integer rows over the indices of the column
+    labels ``cols``, taken in any order and at any nonzero scale."""
+    pivots = _echelon(rows)
     # Free column f gives e_f minus row[f]/row[pivot] * e_pivot over the
     # reduced rows.  Every such pivot lies beyond f, and the pivots are
     # visited in ascending order, so each vector's keys come in column order.
@@ -141,3 +134,15 @@ def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
             if j != col:
                 vectors[j][cols[col]] = Fraction(-v, row[col])
     return tuple(vectors.values())
+
+
+def kernel_basis(m: LabeledMatrix) -> Tuple[Dict[Hashable, Fraction], ...]:
+    """Canonical basis of the right kernel, as sparse coefficient vectors.
+
+    Each vector maps column labels to nonzero Fractions.  The basis is the
+    reduced echelon basis of the kernel subspace over the column order: every
+    vector has a unit pivot coefficient and zeros above and below the pivots
+    of the other vectors, which makes the output unique and deterministic.
+    Exactness contract: ``m @ v == 0`` holds with no tolerance.
+    """
+    return _kernel(m.col_labels, _int_rows(m))

@@ -24,10 +24,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, exact
-from .annihilator import GradedWindow, annihilator_basis, image_matrix
+from .annihilator import GradedWindow, _image_rows, annihilator_basis
 from .derivations import (
     MapLike,
     RawLinearMap,
@@ -36,7 +36,7 @@ from .derivations import (
     outer_action,
 )
 from .expr import format_element, parse_element
-from .linalg import kernel_basis
+from .linalg import _kernel
 
 
 class OracleDefectError(RuntimeError):
@@ -72,12 +72,10 @@ def checked_query(oracle: TwoLocalOracle, x: Element, y: Element) -> OracleAnswe
     random mask added to the response kills both queried points.
     """
     answer = oracle.query(x, y)
-    if answer.local_map.apply(x) != answer.delta_x:
-        raise OracleDefectError(
-            "oracle response disagrees with its delta at %s" % format_element(x))
-    if answer.local_map.apply(y) != answer.delta_y:
-        raise OracleDefectError(
-            "oracle response disagrees with its delta at %s" % format_element(y))
+    for point, delta in ((x, answer.delta_x), (y, answer.delta_y)):
+        if answer.local_map.apply(point) != delta:
+            raise OracleDefectError(
+                "oracle response disagrees with its delta at %s" % format_element(point))
     return answer
 
 
@@ -229,11 +227,9 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
     family = oracle.family
     a1, a2, probe = anchor_pair(family)
     answer = checked_query(oracle, a1, a2)
-    candidate: MapLike
-    if isinstance(answer.local_map, SuperDerivation):
-        candidate = SuperDerivation(family, answer.local_map.inner)
-    else:
-        candidate = answer.local_map
+    candidate: MapLike = answer.local_map
+    if isinstance(candidate, SuperDerivation):
+        candidate = SuperDerivation(family, candidate.inner)
 
     mu = Fraction(0)
     checks: List[CheckRecord] = []
@@ -283,9 +279,9 @@ def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
     base = annihilator_basis(x, window).basis
     if y.is_zero or not base:
         return base
-    m = image_matrix({j: d.apply(y).terms for j, d in enumerate(base)})
+    rows, _ = _image_rows([(d.inner.terms.items(), d.outer_lambda) for d in base], y)
     return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
-                 for vec in kernel_basis(m))
+                 for vec in _kernel(range(len(base)), rows.values()))
 
 
 def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
@@ -336,12 +332,8 @@ def _coefficient_square_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """
 
     def query(x: Element, y: Element) -> OracleAnswer:
-        table: Dict[BasisVector, Element] = {}
-        for bv, c in y.terms.items():
-            table[bv] = Element.basis(bv, c)
-        for bv, c in x.terms.items():
-            table.setdefault(bv, Element.basis(bv, c))
-        raw = RawLinearMap(family, table)
+        raw = RawLinearMap(family, {bv: Element.basis(bv, c) for e in (x, y)
+                                    for bv, c in e.terms.items()})
         return OracleAnswer(raw, raw.apply(x), raw.apply(y))
 
     return TwoLocalOracle(family, query)

@@ -19,13 +19,27 @@ from a per-basis-vector table of same-parity and flipped images; the package
 reads them from the map's values on the parity parts of its argument.
 
 ``matvec`` applies a ``LabeledMatrix`` to a vector from its raw entries; the
-kernel tests check ``m @ v == 0`` with it.
+kernel tests check ``m @ v == 0`` with it.  ``assert_reduced_echelon`` checks
+the shape of a kernel basis from the vectors alone.
+
+``reference_pair_mask_basis`` solves the honest oracle's pair mask through
+``Element``-valued images ``d.apply(y)`` gathered into a ``LabeledMatrix``;
+the package builds the same matrix as integer rows straight from the table.
 """
 
 from fractions import Fraction
 
-from superder import AlgebraFamily, BasisVector, Element, GradedWindow, bracket
+from superder import (
+    AlgebraFamily,
+    BasisVector,
+    Element,
+    GradedWindow,
+    SuperDerivation,
+    annihilator_basis,
+    bracket,
+)
 from superder import algebra
+from superder.linalg import LabeledMatrix, kernel_basis
 
 
 def dense_rref(rows):
@@ -209,3 +223,31 @@ def reference_jacobi_sweep(family, bound):
                 _accumulate(acc, v_signed, algebra.bracket_terms(u, w))
                 violations += any(acc.values())
     return violations, len(vecs) ** 3
+
+
+def assert_reduced_echelon(vectors, col_labels):
+    """Assert that kernel vectors, dicts over ``col_labels``, are in reduced
+    echelon form: keys in column order, each leading entry 1 and the only
+    nonzero entry of the basis in its column, leading columns ascending."""
+    position = {c: i for i, c in enumerate(col_labels)}
+    leads = []
+    for vec in vectors:
+        keys = [position[c] for c in vec]
+        assert keys == sorted(keys)
+        lead = col_labels[keys[0]]
+        assert vec[lead] == 1
+        assert all(lead not in other for other in vectors if other is not vec)
+        leads.append(keys[0])
+    assert leads == sorted(set(leads))
+
+
+def reference_pair_mask_basis(x, y, window):
+    """The derivations of the window that kill x and y, for nonzero x and y:
+    x's annihilator basis, then the kernel of the matrix whose column j holds
+    the image of y under basis member j, rows sorted."""
+    base = annihilator_basis(x, window).basis
+    entries = {(w, j): c for j, d in enumerate(base) for w, c in d.apply(y).terms.items()}
+    rows = tuple(sorted({w for w, _ in entries}))
+    m = LabeledMatrix(rows, tuple(range(len(base))), entries)
+    zero = SuperDerivation.zero(x.family)
+    return tuple(sum((c * base[j] for j, c in vec.items()), zero) for vec in kernel_basis(m))

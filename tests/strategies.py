@@ -14,6 +14,9 @@ NONZERO_RATIONALS = tuple(Fraction(n, d)
                           for n in (-5, -3, -2, -1, 1, 2, 3, 5)
                           for d in (1, 2, 3))
 RATIONALS = (Fraction(0),) + NONZERO_RATIONALS
+# Coefficients whose denominators are 2, 3 and 4 as well as 1.
+QUARTER_RATIONALS = tuple(Fraction(n, d) for n in (-5, -3, -1, 1, 2, 3, 5)
+                          for d in (1, 2, 3, 4))
 
 
 def index_values(family, kind, bound=3):
@@ -32,9 +35,9 @@ def basis_vectors(family, bound=3, include_central=True):
 
 
 def elements(family, bound=3, max_terms=4, include_central=True,
-             allow_zero=True):
+             allow_zero=True, coefficients=NONZERO_RATIONALS):
     pairs = st.tuples(basis_vectors(family, bound, include_central),
-                      st.sampled_from(NONZERO_RATIONALS))
+                      st.sampled_from(coefficients))
     strat = st.lists(pairs, min_size=0 if allow_zero else 1,
                      max_size=max_terms).map(lambda ts: Element(family, ts))
     if not allow_zero:

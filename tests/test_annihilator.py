@@ -22,8 +22,16 @@ from superder import (
     span_contains,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
+from superder.annihilator import _image_rows
+from superder.linalg import kernel_basis
 
-from helpers import dense_nullspace, dense_rank, labeled_dense, reference_bracket
+from helpers import (
+    assert_reduced_echelon,
+    dense_nullspace,
+    dense_rank,
+    labeled_dense,
+    reference_bracket,
+)
 import strategies as sg
 
 F = Fraction
@@ -250,6 +258,39 @@ class TestAnnihilatorBasis:
         space = annihilator_basis(target, window)
         got = [derivation_coords(d, window) for d in space.basis]
         assert got == expected
+
+    @given(data=st.data())
+    def test_solve_matches_the_kernel_of_the_evaluation_matrix(self, data):
+        # The solve eliminates integer rows built from the table; the
+        # exported matrix is their exact view.  Coefficient denominators 2,
+        # 3 and 4 and half-integral bounds exercise the common denominator.
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        target = data.draw(sg.elements(family, bound=2, allow_zero=False,
+                                       coefficients=sg.QUARTER_RATIONALS),
+                           label="target")
+        bound = data.draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(5, 2), F(3)]),
+                          label="bound")
+        window = GradedWindow(bound)
+        got = [d.coords() for d in annihilator_basis(target, window).basis]
+        want = list(kernel_basis(evaluation_matrix(target, window)))
+        assert got == want
+        assert [list(v) for v in got] == [list(v) for v in want]
+        assert_reduced_echelon(got, window.directions(family))
+
+    @given(data=st.data())
+    def test_image_rows_hold_no_zero_entry(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        target = data.draw(sg.elements(family, bound=2, allow_zero=False,
+                                       coefficients=sg.QUARTER_RATIONALS),
+                           label="target")
+        columns = data.draw(st.lists(sg.super_derivations(family, bound=2), max_size=4),
+                            label="columns")
+        rows, den = _image_rows([(d.inner.terms.items(), d.outer_lambda)
+                                 for d in columns], target)
+        assert all(row and all(row.values()) for row in rows.values())
+        for j, d in enumerate(columns):
+            image = {w: F(row[j], den) for w, row in rows.items() if j in row}
+            assert image == d.apply(target).terms
 
     @given(data=st.data())
     def test_window_growth_keeps_old_directions(self, data):

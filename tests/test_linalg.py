@@ -12,7 +12,7 @@ from superder.annihilator import GradedWindow, evaluation_matrix
 from superder.expr import parse_element
 from superder.linalg import LabeledMatrix, kernel_basis, rank
 
-from helpers import dense_nullspace, dense_rank, labeled_dense, matvec
+from helpers import assert_reduced_echelon, dense_nullspace, dense_rank, labeled_dense, matvec
 
 F = Fraction
 
@@ -210,3 +210,24 @@ class TestEliminationOrder:
         assert got == want
         assert [list(vec) for vec in got] == [list(vec) for vec in want]
         assert rank(permuted) == rank(m)
+
+
+class TestReducedEchelon:
+    @given(shaped_sparse_matrices())
+    def test_kernel_is_in_reduced_echelon_form(self, m):
+        # Checked on the vectors alone, with no second solver: a kernel in
+        # any other echelon form has a leading entry that is not 1 or that
+        # another vector shares.
+        assert_reduced_echelon(kernel_basis(m), m.col_labels)
+
+    def test_a_kernel_off_reduced_form_is_caught(self):
+        cols = (0, 1, 2)
+        with pytest.raises(AssertionError):
+            assert_reduced_echelon(({0: F(1), 2: F(-1)}, {0: F(1), 1: F(1)}), cols)
+        with pytest.raises(AssertionError):
+            assert_reduced_echelon(({1: F(2), 2: F(1)},), cols)
+        with pytest.raises(AssertionError):
+            assert_reduced_echelon(({1: F(1)}, {0: F(1)}), cols)
+        with pytest.raises(AssertionError):
+            assert_reduced_echelon(({2: F(1), 0: F(1)},), cols)
+        assert_reduced_echelon(({0: F(1), 2: F(3)}, {1: F(1), 2: F(-1)}), cols)

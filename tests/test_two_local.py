@@ -4,6 +4,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from superder import (
     ADVERSARIAL_KINDS,
@@ -18,6 +20,7 @@ from superder import (
     TestSet,
     TwoLocalOracle,
     anchor_pair,
+    annihilator_basis,
     checked_query,
     globalize,
     homogeneity_check,
@@ -27,7 +30,11 @@ from superder import (
 )
 from superder.algebra import KIND_C, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 from superder import two_local
+from superder.annihilator import _image_rows
 from superder.two_local import MAX_RANDOM_TESTS, _pair_mask_basis, _scalar_ratio
+
+from helpers import reference_pair_mask_basis
+import strategies as sg
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -137,6 +144,32 @@ class TestHonestOracle:
         if family is SW22:
             expected.append(SuperDerivation(family, zero, F(1)))
         assert _pair_mask_basis(zero, zero, window, family) == tuple(expected)
+
+    @given(st.data())
+    def test_pair_mask_basis_matches_the_image_matrix_route(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        x, y = (data.draw(sg.elements(family, bound=2, allow_zero=False,
+                                      coefficients=sg.QUARTER_RATIONALS), label=name)
+                for name in ("x", "y"))
+        window = GradedWindow(data.draw(st.sampled_from([F(1), F(3, 2), F(2), F(3)]),
+                                        label="bound"))
+        assert _pair_mask_basis(x, y, window, family) == reference_pair_mask_basis(x, y, window)
+
+    def test_pair_mask_basis_drops_an_entry_that_cancels(self):
+        # ad(L[0]) + D is in the annihilator of G[0] + Q[1], and at Q[1] its
+        # two parts cancel: [L[0], Q[1]] = -Q[1] while D fixes Q[1].
+        x, y = el(SW22, (KIND_G, 0, 1), (KIND_Q, 1, 1)), el(SW22, (KIND_Q, 1, 1))
+        window = GradedWindow(F(2))
+        d = SuperDerivation(SW22, el(SW22, (KIND_L, 0, 1)), F(1))
+        assert annihilator_basis(x, window).contains(d)
+        assert not SuperDerivation.ad(d.inner).apply(y).is_zero
+        assert d.apply(y).is_zero
+        base = annihilator_basis(x, window).basis
+        rows, _ = _image_rows([(b.inner.terms.items(), b.outer_lambda) for b in base], y)
+        assert all(row and all(row.values()) for row in rows.values())
+        got = _pair_mask_basis(x, y, window, SW22)
+        assert got == reference_pair_mask_basis(x, y, window)
+        assert d in got
 
     @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
     def test_a_mask_that_does_not_kill_the_anchors_is_a_defect(self, family, monkeypatch):
