@@ -173,6 +173,7 @@ class BasisVector(tuple):
     def is_central(self) -> bool:
         return self[0] in _CENTRAL_RANKS
 
+    @lru_cache(maxsize=4096)
     def token(self) -> str:
         if self.kind in CENTRAL_KINDS:
             return self.kind

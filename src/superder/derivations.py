@@ -108,10 +108,9 @@ class SuperDerivation:
         return self.inner.is_zero and self.outer_lambda == 0
 
     def apply(self, x: Element) -> Element:
-        out = bracket(self.inner, x)
-        if self.outer_lambda:
-            out = out + self.outer_lambda * outer_action(x)
-        return out
+        out, lam = bracket(self.inner, x), self.outer_lambda
+        return out if not lam else Element(x.family, chain(out.terms.items(), (
+            (b, lam * c) for b, c in x.terms.items() if b.kind in _OUTER_FIXED_KINDS)))
 
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):
@@ -137,12 +136,16 @@ class SuperDerivation:
 def _combination(family: AlgebraFamily,
                  pairs: Iterable[Tuple[Union[int, Fraction], SuperDerivation]]
                  ) -> SuperDerivation:
-    """The derivation sum of c * d over (coefficient, derivation) pairs."""
+    """The derivation sum of c * d over (coefficient, derivation) pairs, built
+    in one ``Element``: pairs with c = 0 are skipped and c = 1 takes d's terms."""
     pairs = tuple(pairs)
     if any(d.family is not family for _, d in pairs):
         raise FamilyMismatchError("cannot combine derivations of different families")
-    inner = Element(family, ((b, c * x) for c, d in pairs for b, x in d.inner.terms.items()))
-    return SuperDerivation(family, inner, sum(c * d.outer_lambda for c, d in pairs))
+    inner = Element(family, chain.from_iterable(
+        d.inner.terms.items() if c == 1 else ((b, c * x) for b, x in d.inner.terms.items())
+        for c, d in pairs if c))
+    return SuperDerivation(family, inner, sum(c * d.outer_lambda for c, d in pairs
+                                              if c and d.outer_lambda))
 
 
 @dataclass

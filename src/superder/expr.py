@@ -215,13 +215,14 @@ def parse_element(src: str, family: AlgebraFamily) -> Element:
 
 
 def _signed_terms(terms: Iterable[Tuple[str, Fraction]]) -> str:
-    """``c*token`` terms joined by their signs, unit coefficients suppressed."""
+    """``c*token`` terms joined by their signs, unit coefficients suppressed;
+    each size is written from the reduced ints, as ``str(Fraction)`` would."""
     parts = []
     for token, c in terms:
-        size = abs(c)
-        core = token if size == 1 else "%s*%s" % (size, token)
-        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
-        parts.append(sign + core)
+        n, d = c.numerator, c.denominator
+        size = "%d/%d*" % (abs(n), d) if d != 1 else "" if n in (1, -1) else "%d*" % abs(n)
+        sign = ("- " if n < 0 else "+ ") if parts else ("-" if n < 0 else "")
+        parts.append(sign + size + token)
     return " ".join(parts) or "0"
 
 

@@ -13,7 +13,8 @@ annihilators meet trivially (in sw22 only in the outer direction D), so the
 response determines the inner part of the answer.  For the sw22 family one
 extra even element recovers the outer coefficient through an exact residual
 proportionality test.  Each test element is then checked against a fresh
-query, so dishonest oracles fail with a concrete witness.
+query, so dishonest oracles fail with a concrete witness.  An honest oracle
+combines its random mask in coordinates over an annihilator basis.
 """
 
 from __future__ import annotations
@@ -156,17 +157,12 @@ class Certificate:
 
     def to_dict(self) -> dict:
         if isinstance(self.candidate, SuperDerivation):
-            candidate = {
-                "inner": format_element(self.candidate.inner),
-                "lambda": str(self.candidate.outer_lambda),
-            }
+            candidate = {"inner": format_element(self.candidate.inner),
+                         "lambda": str(self.candidate.outer_lambda)}
         else:
-            candidate = {
-                "inner": None,
-                "lambda": None,
-                "raw": {bv.token(): format_element(img)
-                        for bv, img in self.candidate.table.items()},
-            }
+            candidate = {"inner": None, "lambda": None,
+                         "raw": {bv.token(): format_element(img)
+                                 for bv, img in self.candidate.table.items()}}
         return {
             "family": self.family.value,
             "candidate": candidate,
@@ -266,22 +262,22 @@ _MASK_COEFFS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3))
 
 
-def _pair_mask_basis(x: Element, y: Element, window: GradedWindow,
-                     family: AlgebraFamily) -> Tuple[SuperDerivation, ...]:
-    """A basis of the window derivations that kill both x and y."""
+def _pair_mask(x: Element, y: Element, window: GradedWindow, family: AlgebraFamily
+               ) -> Tuple[Tuple[SuperDerivation, ...], Tuple[dict, ...]]:
+    """The window derivations that kill both x and y, in coordinates: a
+    spanning ``base`` (every window direction, or the annihilator basis of a
+    nonzero argument) and a basis of the subspace as ``{j: c}`` vectors over it."""
     if window.bound == 0:
-        return ()
-    if x.is_zero and y.is_zero:
-        return tuple(SuperDerivation.from_coords(family, {tag: 1})
-                     for tag in window.directions(family))
+        return (), ()
     if x.is_zero:
         x, y = y, x
-    base = annihilator_basis(x, window).basis
+    base = (annihilator_basis(x, window).basis if not x.is_zero else
+            tuple(SuperDerivation.from_coords(family, {tag: 1})
+                  for tag in window.directions(family)))
     if y.is_zero or not base:
-        return base
+        return base, tuple({j: 1} for j in range(len(base)))
     rows, _ = _image_rows([(d.inner.terms.items(), d.outer_lambda) for d in base], y)
-    return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
-                 for vec in _kernel(range(len(base)), rows.values()))
+    return base, _kernel(range(len(base)), rows.values())
 
 
 def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
@@ -297,22 +293,25 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
     Each query returns d plus a seeded pseudo-random combination of the
     window derivations annihilating both arguments, so responses vary from
     pair to pair, while the reported deltas are the true values d.apply(x)
-    and d.apply(y).  The masked map itself is evaluated only by
-    ``checked_query``, which thereby checks the mask.  A mask window of
-    bound 0 disables masking entirely.  ``globalize`` puts its anchor a1
-    first in every query, so the value at the first argument is kept for
-    the most recent x only.
+    and d.apply(y).  The mask is combined in coordinates: one seeded
+    coefficient per kernel vector of ``_pair_mask``, summed into weights
+    over its base, so d plus the mask is one ``_combination``.  The masked
+    map is evaluated only by ``checked_query``, which thereby checks the
+    mask.  A mask window of bound 0 disables masking.  ``globalize`` puts
+    its anchor a1 first in every query, so the value at the first argument
+    is kept for the most recent x only.
     """
     family = d.family
     delta_first = lru_cache(maxsize=1)(d.apply)
 
     def query(x: Element, y: Element) -> OracleAnswer:
         local = d
-        basis = _pair_mask_basis(x, y, mask_window, family)
-        if basis:
+        base, vectors = _pair_mask(x, y, mask_window, family)
+        if vectors:
             rng = random.Random(_pair_seed(seed, family, x, y))
-            coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
-            local = _combination(family, ((1, d), *zip(coeffs, basis)))
+            draws = [(rng.choice(_MASK_COEFFS), vec) for vec in vectors]
+            weights = [sum(c * v[j] for c, v in draws if j in v) for j in range(len(base))]
+            local = _combination(family, ((1, d), *zip(weights, base)))
         return OracleAnswer(local, delta_first(x), d.apply(y))
 
     return TwoLocalOracle(family, query)
@@ -343,9 +342,8 @@ def _shift_map_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """Underlying assignment sends L_m to L_{m+1} and kills everything else."""
 
     def image(bv: BasisVector) -> Element:
-        if bv.kind == KIND_L:
-            return Element.basis(BasisVector(family, KIND_L, bv.index + 1))
-        return Element.zero(family)
+        return (Element.basis(BasisVector(family, KIND_L, bv.index + 1))
+                if bv.kind == KIND_L else Element.zero(family))
 
     def query(x: Element, y: Element) -> OracleAnswer:
         table = {bv: image(bv) for bv in (*x.support(), *y.support())}
@@ -404,14 +402,11 @@ def homogeneity_check(oracle: TwoLocalOracle,
     Scalars must be nonzero.
     """
     a1 = anchor_pair(oracle.family)[0]
-
-    def read(e: Element) -> Element:
-        return checked_query(oracle, a1, e).delta_y
-
     results = []
     for k, x in samples:
         k = exact(k)
         if k == 0:
             raise ValueError("homogeneity scalars must be nonzero")
-        results.append(read(k * x) == k * read(x))
+        results.append(checked_query(oracle, a1, k * x).delta_y
+                       == k * checked_query(oracle, a1, x).delta_y)
     return results

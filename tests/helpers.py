@@ -25,6 +25,13 @@ the shape of a kernel basis from the vectors alone.
 ``reference_pair_mask_basis`` solves the honest oracle's pair mask through
 ``Element``-valued images ``d.apply(y)`` gathered into a ``LabeledMatrix``;
 the package builds the same matrix as integer rows straight from the table.
+``reference_mask_basis`` adds the zero-argument and bound-0 cases, and
+``pair_mask_basis`` turns the package's coordinate form of the mask into
+the derivations it spans.  ``reference_combination`` sums c * d by
+multiplying every coefficient, with no shortcut for 0 or 1.
+
+``reference_signed_terms`` renders terms through ``abs`` and
+``str(Fraction)``; the package writes each coefficient from its ints.
 """
 
 from fractions import Fraction
@@ -39,7 +46,9 @@ from superder import (
     bracket,
 )
 from superder import algebra
+from superder.derivations import _combination
 from superder.linalg import LabeledMatrix, kernel_basis
+from superder.two_local import _pair_mask
 
 
 def dense_rref(rows):
@@ -251,3 +260,57 @@ def reference_pair_mask_basis(x, y, window):
     m = LabeledMatrix(rows, tuple(range(len(base))), entries)
     zero = SuperDerivation.zero(x.family)
     return tuple(sum((c * base[j] for j, c in vec.items()), zero) for vec in kernel_basis(m))
+
+
+def reference_mask_basis(x, y, window, family):
+    """The window derivations that kill x and y, for any x and y: none at
+    bound 0, every window direction when both are zero, and otherwise
+    ``reference_pair_mask_basis`` with a nonzero first argument."""
+    if window.bound == 0:
+        return ()
+    if x.is_zero and y.is_zero:
+        return tuple(SuperDerivation.from_coords(family, {tag: 1})
+                     for tag in window.directions(family))
+    return reference_pair_mask_basis(*((y, x) if x.is_zero else (x, y)), window)
+
+
+def pair_mask_basis(x, y, window, family):
+    """The package's pair mask as derivations: each kernel vector of
+    ``_pair_mask`` combined over its base."""
+    base, vectors = _pair_mask(x, y, window, family)
+    return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
+                 for vec in vectors)
+
+
+def reference_combination(family, pairs):
+    """The derivation sum of c * d, every term multiplied by its c."""
+    pairs = tuple(pairs)
+    inner = Element(family, [(b, c * x) for c, d in pairs for b, x in d.inner.terms.items()])
+    return SuperDerivation(family, inner, sum(c * d.outer_lambda for c, d in pairs))
+
+
+def reference_signed_terms(terms):
+    """``c*token`` terms joined by their signs, unit coefficients suppressed,
+    each size written by ``str`` of its ``abs``."""
+    parts = []
+    for token, c in terms:
+        size = abs(c)
+        core = token if size == 1 else "%s*%s" % (size, token)
+        sign = ("- " if c < 0 else "+ ") if parts else ("-" if c < 0 else "")
+        parts.append(sign + core)
+    return " ".join(parts) or "0"
+
+
+def reference_format_element(e):
+    """Canonical text of an element, tokens spelled from kind and index."""
+    return reference_signed_terms(
+        (b.kind if b.is_central else "%s[%s]" % (b.kind, b.index), c)
+        for b, c in e.terms.items())
+
+
+def reference_format_derivation(d):
+    """Canonical text of a superderivation, over ``reference_signed_terms``."""
+    terms = [] if d.inner.is_zero else [("ad(%s)" % reference_format_element(d.inner), 1)]
+    if d.outer_lambda:
+        terms.append(("D", d.outer_lambda))
+    return reference_signed_terms(terms)

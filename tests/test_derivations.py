@@ -28,10 +28,10 @@ from superder.algebra import (
     KIND_L,
     KIND_Q,
 )
-from superder.derivations import has_outer
+from superder.derivations import _combination, has_outer
 
 import strategies as sg
-from helpers import reference_bracket, reference_leibniz_defect
+from helpers import reference_bracket, reference_combination, reference_leibniz_defect
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -86,6 +86,35 @@ class TestSuperDerivation:
         assert combo.outer_lambda == 4
         assert (combo - combo).is_zero
         assert (-d2).outer_lambda == -2
+
+    @given(data=st.data())
+    def test_apply_is_the_bracket_plus_the_scaled_outer_action(self, data):
+        d = data.draw(sg.super_derivations(SW22), label="d")
+        x = data.draw(sg.elements(SW22, coefficients=sg.QUARTER_RATIONALS), label="x")
+        assert d.apply(x) == bracket(d.inner, x) + d.outer_lambda * outer_action(x)
+
+    def test_apply_drops_a_sum_that_cancels(self):
+        # [L[0], I[1]] = -I[1], and D fixes I[1].
+        d = SuperDerivation(SW22, el(SW22, (KIND_L, 0, 1)), F(1))
+        got = d.apply(el(SW22, (KIND_I, 1, 1)))
+        assert got == Element.zero(SW22) and got.terms == {}
+
+    @given(data=st.data())
+    def test_combination_matches_the_multiplied_sum(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        scalars = st.sampled_from([0, 1, -1, 2, F(0), F(1), F(-1, 2), F(3, 4)])
+        pairs = data.draw(st.lists(st.tuples(scalars, sg.super_derivations(family)),
+                                   max_size=4), label="pairs")
+        assert _combination(family, pairs) == reference_combination(family, pairs)
+
+    def test_combination_with_zero_lambda_and_zero_scalars(self):
+        d1 = SuperDerivation.ad(el(SW22, (KIND_L, 1, 1), (KIND_Q, 0, 2)))
+        d2 = SuperDerivation(SW22, el(SW22, (KIND_L, 1, -1)), F(0))
+        d3 = SuperDerivation(SW22, el(SW22, (KIND_I, 2, 1)), F(5))
+        for pairs in [((1, d1), (1, d2)), ((F(1), d1), (0, d3)), ((2, d1), (F(0), d3), (1, d2))]:
+            got = _combination(SW22, pairs)
+            assert got == reference_combination(SW22, pairs)
+            assert got.outer_lambda == 0 and type(got.outer_lambda) is Fraction
 
     @given(data=st.data())
     def test_apply_is_linear(self, data):

@@ -27,6 +27,7 @@ from superder.cli import run_command
 from superder.expr import MAX_DIGITS, parse_integer, parse_rational
 
 import strategies as sg
+from helpers import reference_format_derivation, reference_format_element
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -182,6 +183,32 @@ class TestFormatElement:
         text = format_element(e)
         assert parse_element(text, family) == e
         assert format_element(parse_element(text, family)) == text
+
+
+class TestFormatFromInts:
+    """Coefficients are written from their numerator and denominator; the
+    reference writes ``str(abs(c))``, and the bytes must agree."""
+
+    @given(data=st.data())
+    def test_matches_the_fraction_reference(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        e = data.draw(sg.elements(family, bound=4, max_terms=5,
+                                  coefficients=sg.QUARTER_RATIONALS + (F(1), F(-1))),
+                      label="e")
+        assert format_element(e) == reference_format_element(e)
+        lam = (data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3)]),
+                         label="lambda") if family is SW22 else F(0))
+        d = SuperDerivation(family, e, lam)
+        assert format_derivation(d) == reference_format_derivation(d)
+
+    def test_half_odd_and_central_tokens(self):
+        e = el(SVIR12, (KIND_G, F(-7, 2), F(-3, 4)), (KIND_L, 0, 1), (KIND_C, 0, F(5, 3)))
+        assert format_element(e) == reference_format_element(e) \
+            == "L[0] - 3/4*G[-7/2] + 5/3*C"
+
+    def test_token_cache_is_bounded(self):
+        maxsize = BasisVector.token.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
 
 
 class TestParseDerivation:

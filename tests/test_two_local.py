@@ -1,6 +1,7 @@
 """Globalization of 2-local superderivations: oracles and certificates."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,9 +32,14 @@ from superder import (
 from superder.algebra import KIND_C, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 from superder import two_local
 from superder.annihilator import _image_rows
-from superder.two_local import MAX_RANDOM_TESTS, _pair_mask_basis, _scalar_ratio
+from superder.two_local import MAX_RANDOM_TESTS, _MASK_COEFFS, _pair_seed, _scalar_ratio
 
-from helpers import reference_pair_mask_basis
+from helpers import (
+    pair_mask_basis,
+    reference_combination,
+    reference_mask_basis,
+    reference_pair_mask_basis,
+)
 import strategies as sg
 
 F = Fraction
@@ -77,9 +83,9 @@ class TestAnchors:
         a1, a2, probe = anchor_pair(family)
         expected = ((SuperDerivation(SW22, Element.zero(SW22), F(1)),)
                     if family is SW22 else ())
-        assert _pair_mask_basis(a1, a2, window, family) == expected
+        assert pair_mask_basis(a1, a2, window, family) == expected
         if probe is not None:
-            for d in _pair_mask_basis(a1, probe, window, family):
+            for d in pair_mask_basis(a1, probe, window, family):
                 assert d.outer_lambda == 0
 
 
@@ -143,7 +149,7 @@ class TestHonestOracle:
         expected = [SuperDerivation.ad(Element.basis(g)) for g in window.generators(family)]
         if family is SW22:
             expected.append(SuperDerivation(family, zero, F(1)))
-        assert _pair_mask_basis(zero, zero, window, family) == tuple(expected)
+        assert pair_mask_basis(zero, zero, window, family) == tuple(expected)
 
     @given(st.data())
     def test_pair_mask_basis_matches_the_image_matrix_route(self, data):
@@ -153,7 +159,7 @@ class TestHonestOracle:
                 for name in ("x", "y"))
         window = GradedWindow(data.draw(st.sampled_from([F(1), F(3, 2), F(2), F(3)]),
                                         label="bound"))
-        assert _pair_mask_basis(x, y, window, family) == reference_pair_mask_basis(x, y, window)
+        assert pair_mask_basis(x, y, window, family) == reference_pair_mask_basis(x, y, window)
 
     def test_pair_mask_basis_drops_an_entry_that_cancels(self):
         # ad(L[0]) + D is in the annihilator of G[0] + Q[1], and at Q[1] its
@@ -167,7 +173,7 @@ class TestHonestOracle:
         base = annihilator_basis(x, window).basis
         rows, _ = _image_rows([(b.inner.terms.items(), b.outer_lambda) for b in base], y)
         assert all(row and all(row.values()) for row in rows.values())
-        got = _pair_mask_basis(x, y, window, SW22)
+        got = pair_mask_basis(x, y, window, SW22)
         assert got == reference_pair_mask_basis(x, y, window)
         assert d in got
 
@@ -178,12 +184,49 @@ class TestHonestOracle:
         wrong = SuperDerivation.ad(el(family, (KIND_L, 1, 1)))
         a1, a2, _ = anchor_pair(family)
         assert not (wrong.apply(a1).is_zero and wrong.apply(a2).is_zero)
-        monkeypatch.setattr(two_local, "_pair_mask_basis", lambda *args: (wrong,))
+        monkeypatch.setattr(two_local, "_pair_mask", lambda *args: ((wrong,), ({0: 1},)))
         monkeypatch.setattr(two_local, "_MASK_COEFFS", (F(1),))
         d = SuperDerivation.ad(el(family, (KIND_L, -2, 3)))
         oracle = make_honest_oracle(d, GradedWindow(F(4)), seed=0)
         with pytest.raises(OracleDefectError):
             globalize(oracle, small_test_set())
+
+    @staticmethod
+    def assert_response_is_the_basis_combination(d, x, y, window, seed):
+        """The response is d plus one seeded draw from ``_MASK_COEFFS`` per
+        member of the mask basis, summed member by member."""
+        family = d.family
+        basis = reference_mask_basis(x, y, window, family)
+        expected = d
+        if basis:
+            rng = random.Random(_pair_seed(seed, family, x, y))
+            coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
+            expected = reference_combination(family, ((1, d), *zip(coeffs, basis)))
+        assert make_honest_oracle(d, window, seed).query(x, y).local_map == expected
+
+    @given(st.data())
+    def test_response_is_the_combination_over_the_mask_basis(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        d = data.draw(sg.super_derivations(family), label="d")
+        x, y = (data.draw(sg.elements(family, bound=2, coefficients=sg.QUARTER_RATIONALS),
+                          label=name) for name in ("x", "y"))
+        window = GradedWindow(data.draw(st.sampled_from([F(0), F(1), F(3, 2), F(2), F(3)]),
+                                        label="bound"))
+        seed = data.draw(st.integers(0, 99), label="seed")
+        self.assert_response_is_the_basis_combination(d, x, y, window, seed)
+
+    @pytest.mark.parametrize("bound", [0, 2])
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    def test_response_with_zero_arguments_or_no_mask(self, family, bound):
+        d = SuperDerivation.ad(el(family, (KIND_L, -1, 2), (KIND_L, 2, F(1, 2))))
+        if family is SW22:
+            d = d + SuperDerivation(SW22, el(SW22, (KIND_Q, 1, 3)), F(-1, 2))
+        a1, a2, _ = anchor_pair(family)
+        zero = Element.zero(family)
+        window = GradedWindow(F(bound))
+        for x, y in [(zero, zero), (a1, zero), (zero, a2), (a1, a2)]:
+            for seed in range(3):
+                self.assert_response_is_the_basis_combination(d, x, y, window, seed)
 
     def test_deltas_are_the_derivation_values(self):
         d = SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1), (KIND_Q, -1, 2)), F(3))
