@@ -96,8 +96,7 @@ class TestSuperDerivation:
     def test_apply_drops_a_sum_that_cancels(self):
         # [L[0], I[1]] = -I[1], and D fixes I[1].
         d = SuperDerivation(SW22, el(SW22, (KIND_L, 0, 1)), F(1))
-        got = d.apply(el(SW22, (KIND_I, 1, 1)))
-        assert got == Element.zero(SW22) and got.terms == {}
+        assert d.apply(el(SW22, (KIND_I, 1, 1))).terms == {}
 
     @given(data=st.data())
     def test_combination_matches_the_multiplied_sum(self, data):

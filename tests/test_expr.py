@@ -170,6 +170,8 @@ class TestFormatElement:
             == "-L[1] - 2*G[0]"
         assert format_element(el(SVIR0, (KIND_G, -1, 1))) == "G[-1]"
         assert format_element(el(SVIR12, (KIND_G, F(-3, 2), 1))) == "G[-3/2]"
+        assert format_element(el(SVIR12, (KIND_G, F(-7, 2), F(-3, 4)), (KIND_C, 0, F(5, 3)))) \
+            == "-3/4*G[-7/2] + 5/3*C"
         assert format_element(Element.zero(SW22)) == "0"
 
     def test_terms_print_in_canonical_order(self):
@@ -200,11 +202,6 @@ class TestFormatFromInts:
                          label="lambda") if family is SW22 else F(0))
         d = SuperDerivation(family, e, lam)
         assert format_derivation(d) == reference_format_derivation(d)
-
-    def test_half_odd_and_central_tokens(self):
-        e = el(SVIR12, (KIND_G, F(-7, 2), F(-3, 4)), (KIND_L, 0, 1), (KIND_C, 0, F(5, 3)))
-        assert format_element(e) == reference_format_element(e) \
-            == "L[0] - 3/4*G[-7/2] + 5/3*C"
 
     def test_token_cache_is_bounded(self):
         maxsize = BasisVector.token.cache_info().maxsize
