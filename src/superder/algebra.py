@@ -25,12 +25,11 @@ float, a string) is a ``TypeError``.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Optional, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
 
@@ -188,18 +187,18 @@ class Element:
     """A finitely supported rational linear combination of basis vectors.
 
     Canonical form: like terms merged, zero coefficients dropped, terms kept
-    sorted by (kind, index).  The constructor brings any term list to that
-    form; ``_canonical`` wraps a term map that is already in it (brackets,
-    negation, nonzero scaling).  Instances are immutable by convention; all
-    arithmetic returns fresh objects.
+    sorted by (kind, index).  The constructor brings a dict or an iterable of
+    (vector, coefficient) pairs to that form; ``_canonical`` wraps a term map
+    that is already in it (brackets, negation, nonzero scaling).  Instances
+    are immutable by convention; all arithmetic returns fresh objects.
     """
 
     __slots__ = ("family", "terms")
 
     def __init__(self, family: AlgebraFamily,
-                 terms: Union[Mapping[BasisVector, Scalar],
+                 terms: Union[Dict[BasisVector, Scalar],
                               Iterable[Tuple[BasisVector, Scalar]]] = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        items = terms.items() if isinstance(terms, dict) else terms
         acc: dict = {}
         rank = _FAMILY_RANK[family]
         for bv, c in items:

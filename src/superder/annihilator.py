@@ -43,7 +43,7 @@ from .algebra import (
     sector_denominator,
 )
 from .derivations import _OUTER_FIXED_KINDS, OUTER_TAG, SuperDerivation, has_outer
-from .linalg import LabeledMatrix, _kernel, rank
+from .linalg import LabeledMatrix, _kernel, kernel_basis
 
 
 class ZeroTargetError(ValueError):
@@ -123,10 +123,8 @@ def _window_rows(target: Element, window: GradedWindow):
     """``_image_rows`` of the window directions at the target."""
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
-    columns = [(((g, 1),), 0) for g in window.generators(target.family)]
-    if has_outer(target.family):
-        columns.append(((), 1))
-    return _image_rows(columns, target)
+    return _image_rows([((), 1) if g is OUTER_TAG else (((g, 1),), 0)
+                        for g in window.directions(target.family)], target)
 
 
 def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
@@ -188,18 +186,13 @@ def derivation_coords(d: SuperDerivation, window: GradedWindow) -> Optional[List
 
 def span_contains(basis: Sequence[SuperDerivation], d: SuperDerivation,
                   window: GradedWindow) -> bool:
-    """Whether d lies in the rational span of the given derivations."""
-    directions = window.directions(d.family)
-    inside = set(directions)
-    target = d.coords()
-    if not target.keys() <= inside:
+    """Whether d lies in the rational span of the given derivations: some
+    kernel vector of the coordinate columns ``[basis | d]`` has a d entry."""
+    columns = [derivation_coords(b, window) for b in (*basis, d)]
+    if columns[-1] is None:
         return False
-    rows = [b.coords() for b in basis]
-    if any(not row.keys() <= inside for row in rows):
+    if None in columns:
         raise ValueError("basis member has support outside the window")
-
-    def span_rank(vectors: List[Dict[Hashable, Fraction]]) -> int:
-        entries = {(i, tag): c for i, v in enumerate(vectors) for tag, c in v.items()}
-        return rank(LabeledMatrix(tuple(range(len(vectors))), directions, entries))
-
-    return span_rank(rows + [target]) == span_rank(rows)
+    entries = {(i, j): c for j, col in enumerate(columns) for i, c in enumerate(col) if c}
+    m = LabeledMatrix(tuple(range(len(columns[-1]))), tuple(range(len(columns))), entries)
+    return any(len(basis) in v for v in kernel_basis(m))

@@ -194,15 +194,12 @@ def _cmd_globalize(args, family: AlgebraFamily, config: dict) -> int:
 
 def _cmd_lemma(args, family: AlgebraFamily, config: dict) -> int:
     report = run_lemma(args.name)
-    if args.as_json:
-        print(json.dumps(report, indent=2))
-    else:
-        for case in report["cases"]:
-            bits = " ".join("%s=%s" % (k, v) for k, v in case.items()
-                            if k != "pass")
-            print("%s: %s -> %s" % (report["name"], bits,
-                                    "ok" if case["pass"] else "FAIL"))
-        print("verdict: %s" % report["verdict"])
+    lines = []
+    for case in report["cases"]:
+        bits = " ".join("%s=%s" % (k, v) for k, v in case.items() if k != "pass")
+        lines.append("%s: %s -> %s" % (report["name"], bits, "ok" if case["pass"] else "FAIL"))
+    lines.append("verdict: %s" % report["verdict"])
+    _emit(report, args.as_json, "\n".join(lines))
     return 0 if report["verdict"] == "pass" else 1
 
 

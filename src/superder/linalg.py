@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals for label-indexed sparse matrices.
 
-One elimination routine serves kernels, ranks and span membership: a sparse,
+One elimination routine serves kernels and span membership: a sparse,
 fraction-free Gauss-Jordan elimination over integer rows, dicts from column
 index to nonzero int at any scale; a row operation ``p*a - q*b`` touches only
 the union of the two supports and is divided by its gcd.  The matrices met
 here are graded by degree and nearly empty, so the cost follows the nonzero
 entries rather than the rows times columns.  The annihilator solve builds its
-integer rows straight from the structure table; ``kernel_basis`` and ``rank``
-read a ``LabeledMatrix``'s entries into them over one common denominator.
+integer rows straight from the structure table; ``kernel_basis`` reads a
+``LabeledMatrix``'s entries into them over one common denominator.
 The forward pass takes rows shortest first, so long rows are reduced against
 sparse pivots instead of filling in through each other.
 Each row is pivoted on its *last* nonzero column, so after back substitution
@@ -107,11 +107,6 @@ def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
                 break
             work = _eliminate(work, prow, col)
     return pivots
-
-
-def rank(m: LabeledMatrix) -> int:
-    """Exact rank of a labeled matrix."""
-    return len(_echelon(_int_rows(m)))
 
 
 def _kernel(cols: Sequence[Hashable],

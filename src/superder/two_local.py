@@ -274,8 +274,6 @@ def _pair_mask(x: Element, y: Element, window: GradedWindow, family: AlgebraFami
     base = (annihilator_basis(x, window).basis if not x.is_zero else
             tuple(SuperDerivation.from_coords(family, {tag: 1})
                   for tag in window.directions(family)))
-    if y.is_zero or not base:
-        return base, tuple({j: 1} for j in range(len(base)))
     rows, _ = _image_rows([(d.inner.terms.items(), d.outer_lambda) for d in base], y)
     return base, _kernel(range(len(base)), rows.values())
 

@@ -358,6 +358,23 @@ class TestCoordsAndSpan:
         outside = SuperDerivation.ad(el(SW22, (KIND_I, 5, 1)))
         assert not span_contains(space.basis, outside, window)
 
+    @given(data=st.data())
+    def test_span_matches_the_dense_rank_of_the_coordinates(self, data):
+        family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
+        window = GradedWindow(F(2))
+        basis = data.draw(st.lists(sg.super_derivations(family, bound=2), max_size=4),
+                          label="basis")
+        if data.draw(st.booleans(), label="combination"):
+            coeffs = data.draw(st.lists(st.sampled_from(sg.RATIONALS), min_size=len(basis),
+                                        max_size=len(basis)), label="coeffs")
+            d = sum((c * b for c, b in zip(coeffs, basis)), SuperDerivation.zero(family))
+        else:
+            d = data.draw(sg.super_derivations(family, bound=3), label="d")
+        rows = [derivation_coords(b, window) for b in basis]
+        t = derivation_coords(d, window)
+        expected = t is not None and dense_rank(rows + [t]) == dense_rank(rows)
+        assert span_contains(basis, d, window) == expected
+
     def test_space_contains_wraps_span(self):
         space = annihilator_basis(el(SVIR0, (KIND_G, 2, 1)), GradedWindow(F(6)))
         assert space.contains(SuperDerivation.ad(el(SVIR0, (KIND_L, 4, -7))))
