@@ -82,6 +82,28 @@ class TestKernelBasis:
         assert matvec(m, vec) == {}
 
 
+def kernel_rank(m):
+    """Rank read off the solver: column count minus kernel dimension."""
+    return len(m.col_labels) - len(kernel_basis(m))
+
+
+class TestRank:
+    """The kernel dimension gives the rank that a dense elimination finds."""
+
+    def test_identity(self):
+        assert kernel_rank(mat([[1, 0], [0, 1]])) == 2
+
+    def test_rank_deficient(self):
+        assert kernel_rank(mat([[1, 2], [2, 4]])) == 1
+
+    def test_empty_matrix(self):
+        assert kernel_rank(LabeledMatrix((), (), {})) == 0
+
+    def test_rank_plus_nullity(self):
+        m = mat([[1, 2, 3], [2, 4, 6], [1, 0, 1]])
+        assert dense_rank(labeled_dense(m)) + len(kernel_basis(m)) == 3
+
+
 def assert_matches_dense(m):
     """Kernel and its dict key order agree with the dense helpers."""
     ncols = len(m.col_labels)
@@ -114,6 +136,10 @@ class TestProperties:
     def test_kernel_vectors_are_exact_solutions(self, m):
         for vec in kernel_basis(m):
             assert matvec(m, vec) == {}
+
+    @given(sparse_matrices)
+    def test_rank_nullity(self, m):
+        assert dense_rank(labeled_dense(m)) + len(kernel_basis(m)) == len(m.col_labels)
 
     @given(sparse_matrices)
     def test_deterministic(self, m):
