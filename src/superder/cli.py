@@ -81,11 +81,6 @@ def _load_config(path: Optional[str]) -> dict:
     return config
 
 
-def _resolve_family(args, config: dict) -> AlgebraFamily:
-    tag = args.algebra or config.get("algebra", "vir")
-    return AlgebraFamily.from_tag(tag)
-
-
 def _capped(bound: Fraction, cap: int, what: str) -> Fraction:
     if bound > cap:
         raise ValueError("%s must be at most %d, got %s" % (what, cap, bound))
@@ -311,7 +306,7 @@ def _run(argv) -> int:
     as_json = getattr(args, "as_json", False)
     try:
         config = _load_config(args.config)
-        family = _resolve_family(args, config)
+        family = AlgebraFamily.from_tag(args.algebra or config.get("algebra", "vir"))
         return args.handler(args, family, config)
     except BrokenPipeError:
         raise

@@ -160,13 +160,10 @@ class RawLinearMap:
     table: Dict[BasisVector, Element] = field(default_factory=dict)
 
     def __post_init__(self):
-        clean = {}
-        for bv, img in sorted(self.table.items()):
-            if bv.family is not self.family or img.family is not self.family:
-                raise FamilyMismatchError("raw map table mixes families")
-            if not img.is_zero:
-                clean[bv] = img
-        self.table = clean
+        if any(bv.family is not self.family or img.family is not self.family
+               for bv, img in self.table.items()):
+            raise FamilyMismatchError("raw map table mixes families")
+        self.table = {bv: img for bv, img in sorted(self.table.items()) if not img.is_zero}
 
     def apply(self, x: Element) -> Element:
         return Element(self.family, ((b, c * ic) for bv, c in x.terms.items()

@@ -2,16 +2,18 @@
 
 The sweeps exhaustively confirm super anti-symmetry and the graded Jacobi
 identity over a bounded index range, and the Leibniz rule for the
-distinguished outer derivation of sw22.  The anti-symmetry and Jacobi
-sweeps are the implementation check of the structure table: they read each
-constant they need once through ``bracket_terms``, whose ints are 12 times
-the true constants, into a table over numbered vectors (``_window_table``),
-and count violations with int arithmetic only.  The named suites reproduce
+distinguished outer derivation of sw22.  The anti-symmetry and Jacobi sweeps
+are the implementation check of the structure table: they read each constant
+they need once through ``bracket_terms``, whose ints are 12 times the true
+constants, into a table over numbered vectors (``_window_table``), and count
+violations with int arithmetic only.  The Jacobi sweep evaluates one triple
+per permutation orbit when a term-by-term check proves the table graded
+antisymmetric, and all n^3 triples otherwise.  The named suites reproduce
 the annihilator facts that drive globalization: annihilators of single odd
 generators, of even-plus-odd probe elements, and of mixed even elements,
 each with an exact predicted basis or dimension.  Their targets and
-predicted bases are written in the surface grammar of ``expr``, as the
-paper states them, and read with ``parse_element`` and ``parse_derivation``.
+predicted bases are written in the surface grammar of ``expr``, as the paper
+states them, and read with ``parse_element`` and ``parse_derivation``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ def _window_table(family: AlgebraFamily, bound):
     of window vectors, then each window vector against every vector those
     brackets reach, in both orders.  Vectors get int ids in the order they
     are reached, window vectors first in window order.  Returns
-    ``(parities, rows)``: ``parities[i]`` of window vector i, and
-    ``rows[a][b]`` = the bracket of vectors a and b as ((id, constant), ...),
+    ``(n, parities, rows)``: the window size n, ``parities[i]`` of every
+    numbered vector i, as ``_graded_antisymmetric`` reads it for each term,
+    and ``rows[a][b]`` = the bracket of vectors a and b as ((id, constant), ...),
     defined for a window vector a against any b, and for a reached vector a
     against a window vector b.  Brackets with reached vectors may give
     vectors further out; those get ids but no rows.
@@ -51,29 +54,34 @@ def _window_table(family: AlgebraFamily, bound):
 
     rows = [row(u, window) for u in window]
     reached = tuple(ids)[len(window):]
-    for u, ru in zip(window, rows):
-        ru += row(u, reached)
+    rows = [ru + row(u, reached) for u, ru in zip(window, rows)]
     rows += [row(x, window) for x in reached]
-    return [u.parity for u in window], rows
+    return len(window), [u.parity for u in ids], rows
+
+
+def _graded_antisymmetric(n, parities, rows) -> bool:
+    """Whether rows[a][b] is rows[b][a] times -(-1)^{|a||b|} term by term, with
+    every term of parity |a| xor |b|, for each window vector a and each b it
+    has a row for.  The relation is symmetric, so window pairs are compared once."""
+    return all(ab == tuple((y, (1 if parities[a] and parities[b] else -1) * c)
+                           for y, c in rows[b][a])
+               and all(parities[y] == parities[a] ^ parities[b] for y, _ in ab)
+               for a in range(n) for b in range(a, len(rows[a]))
+               if (ab := rows[a][b]) or rows[b][a])
 
 
 def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of [u,v] = -(-1)^{|u||v|} [v,u] over basis pairs."""
-    parities, rows = _window_table(family, bound)
-    n = len(parities)
+    n, parities, rows = _window_table(family, bound)
     violations = 0
     for u in range(n):
-        ru = rows[u]
         for v in range(n):
-            # [u,v] + (-1)^{|u||v|} [v,u] must vanish.
+            # [u,v] + (-1)^{|u||v|} [v,u] must vanish once merged.
             sign = -1 if (parities[u] and parities[v]) else 1
             acc = {}
-            for y, c in ru[v]:
+            for y, c in rows[u][v] + tuple((y, sign * c) for y, c in rows[v][u]):
                 acc[y] = acc.get(y, 0) + c
-            for y, c in rows[v][u]:
-                acc[y] = acc.get(y, 0) + sign * c
-            if any(acc.values()):
-                violations += 1
+            violations += any(acc.values())
     return violations, n * n
 
 
@@ -81,23 +89,30 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of the graded Jacobi identity over basis triples.
 
     Uses the ad-Leibniz form [u,[v,w]] = [[u,v],w] + (-1)^{|u||v|} [v,[u,w]],
-    accumulating the difference of the two sides into one int dict.  A
-    triple whose brackets [u,v], [v,w] and [u,w] are all zero holds
+    accumulating J(u,v,w), the left side minus the right, into one int dict.
+    A triple whose brackets [u,v], [v,w] and [u,w] are all zero holds
     trivially; it is counted and not evaluated.
+
+    If the table passes ``_graded_antisymmetric``, the dicts obey, entry by
+    entry, J(v,u,w) = -(-1)^{|u||v|} J(u,v,w) and J(u,w,v) =
+    -(-1)^{|v||w|} J(u,v,w): the mirror of [u,v] gives the first, and the
+    mirrors of [v,w] and of v and w against the terms of [u,w] and [u,v],
+    whose parities the check fixes, give the second.  Whether a triple
+    violates is then constant on its orbit, so only u <= v <= w is
+    evaluated and a violation counts once per distinct permutation (1, 3 or
+    6).  Any other table is swept over all n^3 triples, so the count is
+    exact for every table.
     """
-    parities, rows = _window_table(family, bound)
-    n = len(parities)
+    n, parities, rows = _window_table(family, bound)
+    by_orbit = _graded_antisymmetric(n, parities, rows)
     violations = 0
-    for u in range(n):
-        ru = rows[u]
-        for v in range(n):
-            rv = rows[v]
-            uv = ru[v]
+    for u, ru in enumerate(rows[:n]):
+        for v in range(u if by_orbit else 0, n):
+            rv, uv = rows[v], ru[v]
             # The coefficient -(-1)^{|u||v|} of [v,[u,w]] on the left side.
             sign = 1 if (parities[u] and parities[v]) else -1
-            for w in range(n):
-                vw = rv[w]
-                uw = ru[w]
+            for w in range(v if by_orbit else 0, n):
+                vw, uw = rv[w], ru[w]
                 if not (uv or vw or uw):
                     continue
                 acc = {}
@@ -112,7 +127,7 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
                     for y, d in rv[x]:
                         acc[y] = acc.get(y, 0) + c * d
                 if any(acc.values()):
-                    violations += 1
+                    violations += (1, 3, 6)[(u < v) + (v < w)] if by_orbit else 1
     return violations, n ** 3
 
 
@@ -178,12 +193,10 @@ def _even_probe_annihilators() -> List[dict]:
 def _mixed_element_annihilators() -> List[dict]:
     """For odd p, the annihilator of L_p + I_{2p} + Q_{2p} is spanned by
     ad of the element itself and ad(I_p)."""
-    cases = []
-    for p in map(Fraction, (-3, -1, 1, 3)):
-        target = "L[%s] + I[%s] + Q[%s]" % (p, 2 * p, 2 * p)
-        cases.append(_basis_case("p", p, AlgebraFamily.SW22, target, 3 * abs(p),
-                                 ("ad(%s)" % target, "ad(I[%s])" % p)))
-    return cases
+    targets = [(p, "L[%s] + I[%s] + Q[%s]" % (p, 2 * p, 2 * p))
+               for p in map(Fraction, (-3, -1, 1, 3))]
+    return [_basis_case("p", p, AlgebraFamily.SW22, t, 3 * abs(p),
+                        ("ad(%s)" % t, "ad(I[%s])" % p)) for p, t in targets]
 
 
 def _outer_derivation_is_derivation() -> List[dict]:

@@ -230,24 +230,19 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
     mu = Fraction(0)
     checks: List[CheckRecord] = []
 
-    def candidate_action(e: Element) -> Element:
-        out = candidate.apply(e)
+    def check(e: Element, expected: Element) -> None:
+        got = candidate.apply(e)
         if mu:
-            out = out + mu * outer_action(e)
-        return out
+            got = got + mu * outer_action(e)
+        checks.append(CheckRecord(e, expected, got, got == expected))
 
     if probe is not None:
         delta_probe = checked_query(oracle, a1, probe).delta_y
-        ratio = _scalar_ratio(delta_probe - candidate.apply(probe), probe)
-        if ratio is not None:
-            mu = ratio
-        got = candidate_action(probe)
-        checks.append(CheckRecord(probe, delta_probe, got, got == delta_probe))
+        mu = _scalar_ratio(delta_probe - candidate.apply(probe), probe) or mu
+        check(probe, delta_probe)
 
     for e in test_set.elements(family):
-        expected = checked_query(oracle, a1, e).delta_y
-        got = candidate_action(e)
-        checks.append(CheckRecord(e, expected, got, got == expected))
+        check(e, checked_query(oracle, a1, e).delta_y)
 
     witness = next((rec.element for rec in checks if not rec.passed), None)
     verdict = "pass" if witness is None else "fail"
