@@ -39,6 +39,7 @@ from superder.algebra import (
     KIND_ORDER,
     KIND_Q,
 )
+from superder.lemmas import _graded_antisymmetric, _window_table
 
 import strategies as sg
 from helpers import reference_antisymmetry_sweep, reference_bracket, reference_jacobi_sweep
@@ -429,22 +430,26 @@ class TestBracketProperties:
         assert bracket(x + z, y) == bracket(x, y) + bracket(z, y)
 
 
+def _rebind_bracket(monkeypatch, patched):
+    """Rebind bracket_terms in every superder module to ``patched``."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "superder" \
+                and getattr(module, "bracket_terms", None) is bracket_terms:
+            monkeypatch.setattr(module, "bracket_terms", patched)
+
+
 def _scale_bracket(monkeypatch, pairs, factor):
     """Rebind bracket_terms in every superder module so that the given
     ordered basis pairs (every pair, for None) bracket to ``factor`` times
     their true value."""
-    original = bracket_terms
 
     def scaled(u, v):
-        terms = original(u, v)
+        terms = bracket_terms(u, v)
         if pairs is None or (u, v) in pairs:
             return tuple((w, factor * c) for w, c in terms)
         return terms
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "superder" \
-                and getattr(module, "bracket_terms", None) is original:
-            monkeypatch.setattr(module, "bracket_terms", scaled)
+    _rebind_bracket(monkeypatch, scaled)
 
 
 def _bracketing_pairs(family, bound):
@@ -495,3 +500,38 @@ class TestSweepsDetectViolations:
             assert antisymmetry_sweep(family, bound) \
                 == reference_antisymmetry_sweep(family, bound)
             assert jacobi_sweep(family, bound) == reference_jacobi_sweep(family, bound)
+
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_orbit_sweep_matches_the_reference(self, family, data):
+        """A pair and its transpose scaled by one factor of 0, -1, 2, 3/5 or 5/7
+        keep the table graded antisymmetric term by term, so the Jacobi sweep
+        evaluates sorted triples only; weighted by their orbits, its count of
+        real violations is the reference count."""
+        bound = data.draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2))), label="bound")
+        u, v = data.draw(st.sampled_from(_bracketing_pairs(family, bound)), label="pair")
+        factor = data.draw(st.sampled_from((0, -1, 2, F(3, 5), F(5, 7))), label="factor")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _scale_bracket(monkeypatch, {(u, v), (v, u)}, factor)
+            assert _graded_antisymmetric(*_window_table(family, bound))
+            assert antisymmetry_sweep(family, bound) \
+                == reference_antisymmetry_sweep(family, bound)
+            assert jacobi_sweep(family, bound) == reference_jacobi_sweep(family, bound)
+
+    def test_a_wrong_parity_in_an_antisymmetric_table_takes_the_full_sweep(self, monkeypatch):
+        """[L1, G0] sent to the even L[1], with opposite signs in the two
+        orders, is antisymmetric term by term but not graded: the orbit
+        identities do not hold, and every triple must be evaluated."""
+        wrong = {(self.L1, self.G0): ((self.L1, 12),), (self.G0, self.L1): ((self.L1, -12),)}
+        _rebind_bracket(monkeypatch, lambda u, v: wrong.get((u, v)) or bracket_terms(u, v))
+        assert not _graded_antisymmetric(*_window_table(SVIR0, 2))
+        assert antisymmetry_sweep(SVIR0, 2) == reference_antisymmetry_sweep(SVIR0, 2)
+        assert jacobi_sweep(SVIR0, 2) == reference_jacobi_sweep(SVIR0, 2)
+
+    @pytest.mark.parametrize("bound", [F(1, 2), F(1), F(3, 2), F(2), F(4)])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
+    def test_the_true_table_takes_the_orbit_sweep(self, family, bound):
+        """A check that rejected the true table would keep every count exact
+        but sweep all n^3 triples; no count shows that, so this test does."""
+        assert _graded_antisymmetric(*_window_table(family, bound))
