@@ -5,9 +5,10 @@ directions are the coordinates of ``SuperDerivation.coords``: every
 non-central basis vector whose index has absolute value at most the bound,
 then the outer direction ``OUTER_TAG`` in families that have one.  Images of
 the generators may reach indices up to twice the bound; rows of the
-evaluation matrix follow the data and are never clipped.  One private
-builder reads the table's ints into integer rows for the window solve and
-the pair masks of ``two_local``; ``evaluation_matrix`` is their exact view.
+evaluation matrix follow the data and are never clipped.  Both kernel solves
+over derivations live here, the window solve and the honest oracle's pair
+mask ``_pair_mask``, and read one builder's integer rows, one column per
+``coords`` dict; ``evaluation_matrix`` is the exact view of the window rows.
 
 Choosing the bound is the caller's responsibility, and no default is known
 to be enough.  The CLI defaults to 2 * (largest absolute index in the
@@ -30,7 +31,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .algebra import (
     STRUCTURE_DENOMINATOR,
@@ -89,32 +90,31 @@ class GradedWindow:
                                                for kind in family.central_kinds)
 
 
-def _image_rows(columns: Sequence[Tuple[Iterable[Tuple[BasisVector, Scalar]], Scalar]],
+def _image_rows(columns: Sequence[Dict[Hashable, Scalar]],
                 y: Element) -> Tuple[Dict[BasisVector, Dict[int, int]], int]:
-    """The images at ``y`` of the derivations ``ad(inner) + lam * D``, one
-    column per ``(inner terms, lam)``, as integer rows ``{row vector:
-    {column index: int}}`` and their common denominator: 12 (the table's)
-    times the lcm of the columns' denominators times the lcm of y's.  Zero
-    entries and empty rows are dropped; rows come in the order reached."""
-    dc = math.lcm(*(c.denominator for inner, _ in columns for _, c in inner),
-                  *(lam.denominator for _, lam in columns))
+    """The images at ``y`` of the derivations whose ``coords`` are the
+    columns, as integer rows ``{row vector: {column index: int}}`` and their
+    common denominator: 12 (the table's) times the lcm of the columns'
+    denominators times the lcm of y's.  Zero entries and empty rows are
+    dropped; rows come in the order reached."""
+    dc = math.lcm(*(c.denominator for col in columns for c in col.values()))
     dy = math.lcm(*(c.denominator for c in y.terms.values()))
     ys = [(v, c.numerator * (dy // c.denominator)) for v, c in y.terms.items()]
     fixed = [(v, STRUCTURE_DENOMINATOR * n) for v, n in ys if v.kind in _OUTER_FIXED_KINDS]
     rows: Dict[BasisVector, Dict[int, int]] = defaultdict(dict)
-    for j, (inner, lam) in enumerate(columns):
-        for u, cu in inner:
+    for j, col in enumerate(columns):
+        for u, cu in col.items():
             a = cu.numerator * (dc // cu.denominator)
+            if u is OUTER_TAG:
+                for w, n in fixed:
+                    row = rows[w]
+                    row[j] = row.get(j, 0) + a * n
+                continue
             for v, vn in ys:
                 n = a * vn
                 for w, k in bracket_terms(u, v):
                     row = rows[w]
                     row[j] = row.get(j, 0) + n * k
-        if lam:
-            a = lam.numerator * (dc // lam.denominator)
-            for w, n in fixed:
-                row = rows[w]
-                row[j] = row.get(j, 0) + a * n
     return ({w: nz for w, row in rows.items() if (nz := {j: n for j, n in row.items() if n})},
             STRUCTURE_DENOMINATOR * dc * dy)
 
@@ -123,8 +123,7 @@ def _window_rows(target: Element, window: GradedWindow):
     """``_image_rows`` of the window directions at the target."""
     if target.is_zero:
         raise ZeroTargetError("the annihilator of the zero element is everything")
-    return _image_rows([((), 1) if g is OUTER_TAG else (((g, 1),), 0)
-                        for g in window.directions(target.family)], target)
+    return _image_rows([{t: 1} for t in window.directions(target.family)], target)
 
 
 def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
@@ -172,6 +171,22 @@ def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     basis = tuple(SuperDerivation.from_coords(target.family, vec)
                   for vec in _kernel(window.directions(target.family), rows.values()))
     return DerivationSpace(basis, window, target)
+
+
+def _pair_mask(x: Element, y: Element, window: GradedWindow, family: AlgebraFamily
+               ) -> Tuple[Tuple[SuperDerivation, ...], Tuple[dict, ...]]:
+    """The window derivations that kill both x and y, in coordinates: a
+    spanning ``base`` (every window direction, or the annihilator basis of a
+    nonzero argument) and a basis of the subspace as ``{j: c}`` vectors over it."""
+    if window.bound == 0:
+        return (), ()
+    if x.is_zero:
+        x, y = y, x
+    base = (annihilator_basis(x, window).basis if not x.is_zero else
+            tuple(SuperDerivation.from_coords(family, {tag: 1})
+                  for tag in window.directions(family)))
+    rows, _ = _image_rows([d.coords() for d in base], y)
+    return base, _kernel(range(len(base)), rows.values())
 
 
 def derivation_coords(d: SuperDerivation, window: GradedWindow) -> Optional[List[Fraction]]:

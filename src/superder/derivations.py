@@ -4,8 +4,8 @@ A superderivation is stored as an inner part (an element acting through the
 adjoint map) plus a rational multiple of the distinguished outer derivation
 of the super W(2,2) algebra.  That outer derivation fixes every I_m, Q_r and
 the central charge C2, and kills L_m, G_r and C1; no other family admits a
-nonzero outer part.  Annihilators are solved in the coordinates
-``{basis vector: c, OUTER_TAG: lambda}`` of ``SuperDerivation.coords``.
+nonzero outer part.  Both solves of ``annihilator`` read derivations as
+``SuperDerivation.coords``, ``{basis vector: c, OUTER_TAG: lambda}``.
 
 ``RawLinearMap`` is a finite table from basis vectors to elements, extended
 linearly.  It exists for maps that are not superderivations: adversarial

@@ -14,7 +14,8 @@ response determines the inner part of the answer.  For the sw22 family one
 extra even element recovers the outer coefficient through an exact residual
 proportionality test.  Each test element is then checked against a fresh
 query, so dishonest oracles fail with a concrete witness.  An honest oracle
-combines its random mask in coordinates over an annihilator basis.
+combines its random mask in coordinates over an annihilator basis, from
+``annihilator._pair_mask``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, exact
-from .annihilator import GradedWindow, _image_rows, annihilator_basis
+from .annihilator import GradedWindow, _pair_mask
 from .derivations import (
     MapLike,
     RawLinearMap,
@@ -37,7 +38,6 @@ from .derivations import (
     outer_action,
 )
 from .expr import format_element, parse_element
-from .linalg import _kernel
 
 
 class OracleDefectError(RuntimeError):
@@ -257,22 +257,6 @@ _MASK_COEFFS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3))
 
 
-def _pair_mask(x: Element, y: Element, window: GradedWindow, family: AlgebraFamily
-               ) -> Tuple[Tuple[SuperDerivation, ...], Tuple[dict, ...]]:
-    """The window derivations that kill both x and y, in coordinates: a
-    spanning ``base`` (every window direction, or the annihilator basis of a
-    nonzero argument) and a basis of the subspace as ``{j: c}`` vectors over it."""
-    if window.bound == 0:
-        return (), ()
-    if x.is_zero:
-        x, y = y, x
-    base = (annihilator_basis(x, window).basis if not x.is_zero else
-            tuple(SuperDerivation.from_coords(family, {tag: 1})
-                  for tag in window.directions(family)))
-    rows, _ = _image_rows([(d.inner.terms.items(), d.outer_lambda) for d in base], y)
-    return base, _kernel(range(len(base)), rows.values())
-
-
 def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
     text = "%d|%s|%s|%s" % (seed, family.value, format_element(x), format_element(y))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
@@ -312,38 +296,36 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
 
 # -- adversarial oracles ------------------------------------------------------------
 
-def _coefficient_square_oracle(family: AlgebraFamily) -> TwoLocalOracle:
-    """Underlying assignment squares every coefficient, so it is not linear.
-
-    Each response is a raw table that reproduces the squared image of y
-    exactly (y takes priority on shared support), hence all Delta readings
-    through (anchor, e) queries see the squared assignment, while no single
-    linear candidate can match it on any test set containing an element with
-    a coefficient other than 0 or 1, or any basis vector outside the anchor
-    response's support.
-    """
+def _table_oracle(family: AlgebraFamily,
+                  image: Callable[[BasisVector, Fraction], Element]) -> TwoLocalOracle:
+    """Each response is the raw table sending every basis vector bv of x's
+    and y's support to ``image(bv, c)``, c its coefficient there (y's wins
+    on shared support), with that table's own values at x and y."""
 
     def query(x: Element, y: Element) -> OracleAnswer:
-        raw = RawLinearMap(family, {bv: Element.basis(bv, c) for e in (x, y)
+        raw = RawLinearMap(family, {bv: image(bv, c) for e in (x, y)
                                     for bv, c in e.terms.items()})
         return OracleAnswer(raw, raw.apply(x), raw.apply(y))
 
     return TwoLocalOracle(family, query)
 
 
+def _coefficient_square_oracle(family: AlgebraFamily) -> TwoLocalOracle:
+    """Underlying assignment squares every coefficient, so it is not linear.
+
+    Each response reproduces the squared image of y exactly, hence all
+    Delta readings through (anchor, e) queries see the squared assignment,
+    while no single linear candidate can match it on any test set containing
+    an element with a coefficient other than 0 or 1, or any basis vector
+    outside the anchor response's support.
+    """
+    return _table_oracle(family, Element.basis)
+
+
 def _shift_map_oracle(family: AlgebraFamily) -> TwoLocalOracle:
     """Underlying assignment sends L_m to L_{m+1} and kills everything else."""
-
-    def image(bv: BasisVector) -> Element:
-        return (Element.basis(BasisVector(family, KIND_L, bv.index + 1))
-                if bv.kind == KIND_L else Element.zero(family))
-
-    def query(x: Element, y: Element) -> OracleAnswer:
-        table = {bv: image(bv) for bv in (*x.support(), *y.support())}
-        raw = RawLinearMap(family, table)
-        return OracleAnswer(raw, raw.apply(x), raw.apply(y))
-
-    return TwoLocalOracle(family, query)
+    return _table_oracle(family, lambda bv, c: Element.basis(BasisVector(
+        family, KIND_L, bv.index + 1)) if bv.kind == KIND_L else Element.zero(family))
 
 
 def _pairwise_inconsistent_oracle(family: AlgebraFamily) -> TwoLocalOracle:

@@ -48,7 +48,7 @@ from superder import (
 from superder import algebra
 from superder.derivations import _combination
 from superder.linalg import LabeledMatrix, kernel_basis
-from superder.two_local import _pair_mask
+from superder.annihilator import _pair_mask
 
 
 def dense_rref(rows):

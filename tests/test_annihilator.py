@@ -285,8 +285,7 @@ class TestAnnihilatorBasis:
                            label="target")
         columns = data.draw(st.lists(sg.super_derivations(family, bound=2), max_size=4),
                             label="columns")
-        rows, den = _image_rows([(d.inner.terms.items(), d.outer_lambda)
-                                 for d in columns], target)
+        rows, den = _image_rows([d.coords() for d in columns], target)
         assert all(row and all(row.values()) for row in rows.values())
         for j, d in enumerate(columns):
             image = {w: F(row[j], den) for w, row in rows.items() if j in row}

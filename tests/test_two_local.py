@@ -171,7 +171,7 @@ class TestHonestOracle:
         assert not SuperDerivation.ad(d.inner).apply(y).is_zero
         assert d.apply(y).is_zero
         base = annihilator_basis(x, window).basis
-        rows, _ = _image_rows([(b.inner.terms.items(), b.outer_lambda) for b in base], y)
+        rows, _ = _image_rows([b.coords() for b in base], y)
         assert all(row and all(row.values()) for row in rows.values())
         got = pair_mask_basis(x, y, window, SW22)
         assert got == reference_pair_mask_basis(x, y, window)
