@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from superder import cli
+from superder.algebra import KIND_L, BasisVector, Element
 from superder.annihilator import GradedWindow
 from superder.cli import (
     ENV_SEED,
@@ -20,7 +22,8 @@ from superder.cli import (
     run_command,
 )
 from superder.expr import MAX_DIGITS
-from superder.two_local import MAX_RANDOM_TESTS, TestSet
+from superder.lemmas import LEMMA_NAMES, run_lemma
+from superder.two_local import MAX_RANDOM_TESTS, TestSet, TwoLocalOracle
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -163,6 +166,35 @@ class TestGlobalize:
         code, out, _ = run(capsys, "globalize", "--oracle", "adversarial:shift_map")
         assert code == 1
         assert json.loads(out)["failure_witness"] is not None
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_an_oracle_that_contradicts_itself_exits_one(self, capsys, monkeypatch,
+                                                         as_json):
+        """Every response reports delta_y with one extra L[0] term, so the
+        first query, at the anchors L[1] and L[2], is refused at L[2]."""
+        honest = cli.make_honest_oracle
+
+        def contradicting(d, window, seed):
+            oracle = honest(d, window, seed)
+            extra = Element.basis(BasisVector(d.family, KIND_L, 0))
+
+            def query(x, y):
+                answer = oracle.query(x, y)
+                return answer._replace(delta_y=answer.delta_y + extra)
+            return TwoLocalOracle(oracle.family, query)
+
+        monkeypatch.setattr(cli, "make_honest_oracle", contradicting)
+        argv = ["globalize", "--oracle", "honest:ad(L[1])"] + (["--json"] if as_json else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        message = "oracle response disagrees with its delta at L[2]"
+        if as_json:
+            assert err == ""
+            assert json.loads(out) == {"error": {"type": "OracleDefectError",
+                                                 "message": message}}
+        else:
+            assert out == ""
+            assert err == "error: OracleDefectError: %s\n" % message
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, *self.HONEST, "--seed", "7")
@@ -539,3 +571,25 @@ class TestLemma:
         assert lines[-1] == "verdict: pass"
         assert all(line.startswith("lemma4.4i:") for line in lines[:-1])
         assert all(line.endswith("-> ok") for line in lines[:-1])
+
+    @pytest.mark.parametrize("name", LEMMA_NAMES)
+    def test_every_suite_passes_and_its_text_matches_its_json(self, capsys, name):
+        code, out, _ = run(capsys, "lemma", name, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["name"] == name
+        assert payload["verdict"] == "pass"
+        assert payload["cases"] and all(case["pass"] is True for case in payload["cases"])
+        code, out, _ = run(capsys, "lemma", name)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "verdict: pass"
+        assert lines[:-1] == [
+            "%s: %s -> ok" % (name, " ".join("%s=%s" % (k, v) for k, v in case.items()
+                                             if k != "pass"))
+            for case in payload["cases"]]
+
+    def test_an_unknown_suite_names_every_suite(self):
+        with pytest.raises(ValueError, match="unknown suite 'bogus'") as info:
+            run_lemma("bogus")
+        assert all(name in str(info.value) for name in LEMMA_NAMES)

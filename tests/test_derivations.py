@@ -115,6 +115,14 @@ class TestSuperDerivation:
             assert got == reference_combination(SW22, pairs)
             assert got.outer_lambda == 0 and type(got.outer_lambda) is Fraction
 
+    def test_combination_refuses_derivations_of_different_families(self):
+        sw22, svir0 = (SuperDerivation.ad(el(f, (KIND_L, 1, 1))) for f in (SW22, SVIR0))
+        message = "cannot combine derivations of different families"
+        for combine in (lambda: sw22 + svir0, lambda: sw22 - svir0,
+                        lambda: _combination(SW22, ((1, sw22), (1, svir0)))):
+            with pytest.raises(FamilyMismatchError, match=message):
+                combine()
+
     @given(data=st.data())
     def test_apply_is_linear(self, data):
         family = data.draw(st.sampled_from(sg.ALL_FAMILIES), label="family")
