@@ -173,19 +173,20 @@ def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
     return DerivationSpace(basis, window, target)
 
 
-def _pair_mask(x: Element, y: Element, window: GradedWindow, family: AlgebraFamily
-               ) -> Tuple[Tuple[SuperDerivation, ...], Tuple[dict, ...]]:
-    """The window derivations that kill both x and y, in coordinates: a
-    spanning ``base`` (every window direction, or the annihilator basis of a
-    nonzero argument) and a basis of the subspace as ``{j: c}`` vectors over it."""
-    if window.bound == 0:
-        return (), ()
-    if x.is_zero:
-        x, y = y, x
+def _mask_base(x: Element, window: GradedWindow):
+    """The window derivations that kill x: a spanning base (x's annihilator
+    basis, or every window direction for a zero x) and its ``coords``."""
     base = (annihilator_basis(x, window).basis if not x.is_zero else
-            tuple(SuperDerivation.from_coords(family, {tag: 1})
-                  for tag in window.directions(family)))
-    rows, _ = _image_rows([d.coords() for d in base], y)
+            tuple(SuperDerivation.from_coords(x.family, {tag: 1})
+                  for tag in window.directions(x.family)))
+    return base, [d.coords() for d in base]
+
+
+def _pair_mask(x_base, y: Element) -> Tuple[Tuple[SuperDerivation, ...], Tuple[dict, ...]]:
+    """The derivations in the span of ``x_base``, a ``_mask_base``, that kill y:
+    its base and a basis of that subspace as ``{j: c}`` vectors over it."""
+    base, columns = x_base
+    rows, _ = _image_rows(columns, y)
     return base, _kernel(range(len(base)), rows.values())
 
 

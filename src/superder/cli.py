@@ -102,12 +102,10 @@ def _resolve_seed(args, config: dict) -> int:
     text = args.seed if args.seed is not None else os.environ.get(ENV_SEED)
     if text is not None:
         return parse_integer(text)
-    if "seed" in config:
-        seed = config["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ValueError("config seed must be a JSON integer, got %r" % (seed,))
-        return seed
-    return 0
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError("config seed must be a JSON integer, got %r" % (seed,))
+    return seed
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
@@ -255,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default=None,
                    help="seed (default: SUPERDER_SEED, then config, then 0)")
     p.add_argument("--mask-bound", default="4",
-                   dest="mask_bound",
                    help="honest-oracle mask window bound (default 4, at most %d; "
                         "0 disables)" % MAX_GLOBALIZE_BOUND)
     p.set_defaults(handler=_cmd_globalize)

@@ -29,11 +29,13 @@ from .algebra import (
     BasisVector,
     Element,
     FamilyMismatchError,
+    _KIND_RANK,
     bracket,
     exact,
 )
 
 _OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
+_FIXED_RANKS = frozenset(_KIND_RANK[k] for k in _OUTER_FIXED_KINDS)
 
 # Coordinate tag of the outer derivation direction D.
 OUTER_TAG = "D"
@@ -51,7 +53,7 @@ def outer_action(x: Element) -> Element:
     kinds, so for the other families the result is zero.
     """
     return Element._canonical(x.family, {b: c for b, c in x.terms.items()
-                                         if b.kind in _OUTER_FIXED_KINDS})
+                                         if b[0] in _FIXED_RANKS})
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,8 @@ class SuperDerivation:
 
     def apply(self, x: Element) -> Element:
         out, lam = bracket(self.inner, x), self.outer_lambda
-        return out if not lam else Element(x.family, chain(out.terms.items(), (
-            (b, lam * c) for b, c in x.terms.items() if b.kind in _OUTER_FIXED_KINDS)))
+        fixed = lam and [(b, lam * c) for b, c in x.terms.items() if b[0] in _FIXED_RANKS]
+        return Element(x.family, chain(out.terms.items(), fixed)) if fixed else out
 
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):

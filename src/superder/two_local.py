@@ -14,8 +14,8 @@ response determines the inner part of the answer.  For the sw22 family one
 extra even element recovers the outer coefficient through an exact residual
 proportionality test.  Each test element is then checked against a fresh
 query, so dishonest oracles fail with a concrete witness.  An honest oracle
-combines its random mask in coordinates over an annihilator basis, from
-``annihilator._pair_mask``.
+combines its random mask in coordinates over its first argument's
+``annihilator._mask_base``, which it keeps, with d there, for the next query.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, exact
-from .annihilator import GradedWindow, _pair_mask
+from .annihilator import GradedWindow, _mask_base, _pair_mask
 from .derivations import (
     MapLike,
     RawLinearMap,
@@ -232,13 +232,15 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
 
     def check(e: Element, expected: Element) -> None:
         got = candidate.apply(e)
-        if mu:
+        if mu and not isinstance(candidate, SuperDerivation):
             got = got + mu * outer_action(e)
         checks.append(CheckRecord(e, expected, got, got == expected))
 
     if probe is not None:
         delta_probe = checked_query(oracle, a1, probe).delta_y
         mu = _scalar_ratio(delta_probe - candidate.apply(probe), probe) or mu
+        if mu and isinstance(candidate, SuperDerivation):
+            candidate = SuperDerivation(family, candidate.inner, mu)
         check(probe, delta_probe)
 
     for e in test_set.elements(family):
@@ -246,8 +248,6 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
 
     witness = next((rec.element for rec in checks if not rec.passed), None)
     verdict = "pass" if witness is None else "fail"
-    if isinstance(candidate, SuperDerivation) and mu:
-        candidate = SuperDerivation(family, candidate.inner, mu)
     return Certificate(family, candidate, mu, tuple(checks), verdict, witness)
 
 
@@ -257,12 +257,6 @@ _MASK_COEFFS = (Fraction(0), Fraction(1), Fraction(-1), Fraction(2),
                 Fraction(-2), Fraction(1, 2), Fraction(-1, 2), Fraction(3))
 
 
-def _pair_seed(seed: int, family: AlgebraFamily, x: Element, y: Element) -> int:
-    text = "%d|%s|%s|%s" % (seed, family.value, format_element(x), format_element(y))
-    digest = hashlib.sha256(text.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
                        seed: int) -> TwoLocalOracle:
     """An oracle whose underlying assignment is d.apply.
@@ -270,26 +264,32 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
     Each query returns d plus a seeded pseudo-random combination of the
     window derivations annihilating both arguments, so responses vary from
     pair to pair, while the reported deltas are the true values d.apply(x)
-    and d.apply(y).  The mask is combined in coordinates: one seeded
-    coefficient per kernel vector of ``_pair_mask``, summed into weights
-    over its base, so d plus the mask is one ``_combination``.  The masked
-    map is evaluated only by ``checked_query``, which thereby checks the
-    mask.  A mask window of bound 0 disables masking.  ``globalize`` puts
-    its anchor a1 first in every query, so the value at the first argument
-    is kept for the most recent x only.
+    and d.apply(y).  The mask draws one coefficient per kernel vector of
+    ``_pair_mask``, seeded by the sha256 of "seed|family|x|y", and d plus the
+    mask is one ``_combination``.  The masked map is evaluated only by
+    ``checked_query``, which thereby checks the mask.  A mask window of bound
+    0 disables masking.  ``globalize`` puts its anchor a1 first in every
+    query, so the oracle keeps, for the most recent first argument x only,
+    d(x), the x part of the seed text and x's ``_mask_base``.
     """
     family = d.family
-    delta_first = lru_cache(maxsize=1)(d.apply)
+
+    @lru_cache(maxsize=1)
+    def first(x: Element):
+        prefix = "%d|%s|%s|" % (seed, family.value, format_element(x))
+        return d.apply(x), prefix, mask_window.bound and _mask_base(x, mask_window)
 
     def query(x: Element, y: Element) -> OracleAnswer:
         local = d
-        base, vectors = _pair_mask(x, y, mask_window, family)
+        delta_x, prefix, x_base = first(x)
+        base, vectors = _pair_mask(x_base, y) if x_base else ((), ())
         if vectors:
-            rng = random.Random(_pair_seed(seed, family, x, y))
-            draws = [(rng.choice(_MASK_COEFFS), vec) for vec in vectors]
-            weights = [sum(c * v[j] for c, v in draws if j in v) for j in range(len(base))]
-            local = _combination(family, ((1, d), *zip(weights, base)))
-        return OracleAnswer(local, delta_first(x), d.apply(y))
+            digest = hashlib.sha256((prefix + format_element(y)).encode("utf-8")).digest()
+            rng = random.Random(int.from_bytes(digest[:8], "big"))
+            draws = [(c, vec) for vec in vectors if (c := rng.choice(_MASK_COEFFS))]
+            local = _combination(family, ((1, d), *((c * v, base[j]) for c, vec in draws
+                                                    for j, v in vec.items())))
+        return OracleAnswer(local, delta_x, d.apply(y))
 
     return TwoLocalOracle(family, query)
 

@@ -29,11 +29,14 @@ the package builds the same matrix as integer rows straight from the table.
 ``pair_mask_basis`` turns the package's coordinate form of the mask into
 the derivations it spans.  ``reference_combination`` sums c * d by
 multiplying every coefficient, with no shortcut for 0 or 1.
+``reference_pair_seed`` hashes the whole seed text of one honest query; the
+oracle hashes its first argument's part once and copies that state.
 
 ``reference_signed_terms`` renders terms through ``abs`` and
 ``str(Fraction)``; the package writes each coefficient from its ints.
 """
 
+import hashlib
 from fractions import Fraction
 
 from superder import (
@@ -48,7 +51,7 @@ from superder import (
 from superder import algebra
 from superder.derivations import _combination
 from superder.linalg import LabeledMatrix, kernel_basis
-from superder.annihilator import _pair_mask
+from superder.annihilator import _mask_base, _pair_mask
 
 
 def dense_rref(rows):
@@ -277,7 +280,7 @@ def reference_mask_basis(x, y, window, family):
 def pair_mask_basis(x, y, window, family):
     """The package's pair mask as derivations: each kernel vector of
     ``_pair_mask`` combined over its base."""
-    base, vectors = _pair_mask(x, y, window, family)
+    base, vectors = _pair_mask(_mask_base(x, window), y)
     return tuple(_combination(family, ((c, base[j]) for j, c in vec.items()))
                  for vec in vectors)
 
@@ -287,6 +290,14 @@ def reference_combination(family, pairs):
     pairs = tuple(pairs)
     inner = Element(family, [(b, c * x) for c, d in pairs for b, x in d.inner.terms.items()])
     return SuperDerivation(family, inner, sum(c * d.outer_lambda for c, d in pairs))
+
+
+def reference_pair_seed(seed, family, x, y):
+    """The seed of the honest oracle's mask draws at (x, y): the first eight
+    bytes, big-endian, of the sha256 of "seed|family|x|y"."""
+    text = "%d|%s|%s|%s" % (seed, family.value, reference_format_element(x),
+                            reference_format_element(y))
+    return int.from_bytes(hashlib.sha256(text.encode("utf-8")).digest()[:8], "big")
 
 
 def reference_signed_terms(terms):

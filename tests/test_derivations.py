@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from superder import (
@@ -92,6 +92,19 @@ class TestSuperDerivation:
         d = data.draw(sg.super_derivations(SW22), label="d")
         x = data.draw(sg.elements(SW22, coefficients=sg.QUARTER_RATIONALS), label="x")
         assert d.apply(x) == bracket(d.inner, x) + d.outer_lambda * outer_action(x)
+
+    @given(data=st.data())
+    def test_apply_with_an_outer_part_keeps_canonical_order(self, data):
+        """Element equality ignores the order of terms, but certificates print
+        them in it, so the order of an image with an outer part is checked
+        on its own: sorted keys and nonzero Fraction coefficients."""
+        inner = data.draw(sg.elements(SW22, bound=4, max_terms=3), label="inner")
+        lam = data.draw(st.sampled_from(sg.NONZERO_RATIONALS), label="lambda")
+        x = data.draw(sg.elements(SW22, coefficients=sg.QUARTER_RATIONALS), label="x")
+        assume(not outer_action(x).is_zero)
+        terms = SuperDerivation(SW22, inner, lam).apply(x).terms
+        assert list(terms) == sorted(terms)
+        assert all(type(c) is Fraction and c != 0 for c in terms.values())
 
     def test_apply_drops_a_sum_that_cancels(self):
         # [L[0], I[1]] = -I[1], and D fixes I[1].

@@ -27,18 +27,20 @@ from superder import (
     homogeneity_check,
     make_adversarial_oracle,
     make_honest_oracle,
+    outer_action,
     parse_element,
 )
 from superder.algebra import KIND_C, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 from superder import two_local
 from superder.annihilator import _image_rows
-from superder.two_local import MAX_RANDOM_TESTS, _MASK_COEFFS, _pair_seed, _scalar_ratio
+from superder.two_local import MAX_RANDOM_TESTS, _MASK_COEFFS, _scalar_ratio
 
 from helpers import (
     pair_mask_basis,
     reference_combination,
     reference_mask_basis,
     reference_pair_mask_basis,
+    reference_pair_seed,
 )
 import strategies as sg
 
@@ -59,6 +61,13 @@ def el(family, *terms):
 
 def small_test_set(seed=0):
     return TestSet(GradedWindow(F(2)), 5, seed)
+
+
+def sample_derivation(family):
+    d = SuperDerivation.ad(el(family, (KIND_L, -1, 2), (KIND_L, 2, F(1, 2))))
+    if family is SW22:
+        d = d + SuperDerivation(SW22, el(SW22, (KIND_Q, 1, 3)), F(-1, 2))
+    return d
 
 
 class TestAnchors:
@@ -192,16 +201,19 @@ class TestHonestOracle:
             globalize(oracle, small_test_set())
 
     @staticmethod
-    def assert_response_is_the_basis_combination(d, x, y, window, seed):
-        """The response is d plus one seeded draw from ``_MASK_COEFFS`` per
-        member of the mask basis, summed member by member."""
+    def expected_response(d, x, y, window, seed):
+        """d plus one seeded draw from ``_MASK_COEFFS`` per member of the mask
+        basis, summed member by member."""
         family = d.family
         basis = reference_mask_basis(x, y, window, family)
-        expected = d
-        if basis:
-            rng = random.Random(_pair_seed(seed, family, x, y))
-            coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
-            expected = reference_combination(family, ((1, d), *zip(coeffs, basis)))
+        if not basis:
+            return d
+        rng = random.Random(reference_pair_seed(seed, family, x, y))
+        coeffs = [rng.choice(_MASK_COEFFS) for _ in basis]
+        return reference_combination(family, ((1, d), *zip(coeffs, basis)))
+
+    def assert_response_is_the_basis_combination(self, d, x, y, window, seed):
+        expected = self.expected_response(d, x, y, window, seed)
         assert make_honest_oracle(d, window, seed).query(x, y).local_map == expected
 
     @given(st.data())
@@ -218,15 +230,29 @@ class TestHonestOracle:
     @pytest.mark.parametrize("bound", [0, 2])
     @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
     def test_response_with_zero_arguments_or_no_mask(self, family, bound):
-        d = SuperDerivation.ad(el(family, (KIND_L, -1, 2), (KIND_L, 2, F(1, 2))))
-        if family is SW22:
-            d = d + SuperDerivation(SW22, el(SW22, (KIND_Q, 1, 3)), F(-1, 2))
+        d = sample_derivation(family)
         a1, a2, _ = anchor_pair(family)
         zero = Element.zero(family)
         window = GradedWindow(F(bound))
         for x, y in [(zero, zero), (a1, zero), (zero, a2), (a1, a2)]:
             for seed in range(3):
                 self.assert_response_is_the_basis_combination(d, x, y, window, seed)
+
+    @pytest.mark.parametrize("bound", [0, 2, 4])
+    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    def test_one_oracle_answers_each_query_for_its_own_first_argument(self, family, bound):
+        """The oracle keeps what depends on its latest first argument alone;
+        a query led by another argument, zero included, must not reuse it."""
+        d = sample_derivation(family)
+        a1, a2, _ = anchor_pair(family)
+        e1, e2 = TestSet(GradedWindow(F(2)), 2, 5).elements(family)[-2:]
+        zero = Element.zero(family)
+        window = GradedWindow(F(bound))
+        oracle = make_honest_oracle(d, window, seed=11)
+        for x, y in [(a1, e1), (a2, e1), (zero, e2), (a1, e2), (a1, zero), (a2, a1)]:
+            ans = oracle.query(x, y)
+            assert ans.local_map == self.expected_response(d, x, y, window, 11)
+            assert (ans.delta_x, ans.delta_y) == (d.apply(x), d.apply(y))
 
     def test_deltas_are_the_derivation_values(self):
         d = SuperDerivation(SW22, el(SW22, (KIND_L, 1, 1), (KIND_Q, -1, 2)), F(3))
@@ -345,6 +371,18 @@ class TestGlobalizeDishonest:
         bad = next(rec for rec in cert.checks if not rec.passed)
         assert bad.element == cert.failure_witness
         assert bad.expected != bad.got
+
+    def test_a_raw_candidate_keeps_mu_apart(self):
+        """sw22 coefficient_square answers the anchor pair with a raw table and
+        the probe with its squared image, whose residual gives mu = 1.  The
+        candidate stays raw, so each check adds mu times D to its value."""
+        cert = globalize(make_adversarial_oracle("coefficient_square", SW22),
+                         small_test_set())
+        assert isinstance(cert.candidate, RawLinearMap)
+        assert cert.mu == 1
+        for rec in cert.checks:
+            assert rec.got == cert.candidate.apply(rec.element) + outer_action(rec.element)
+        assert any(not outer_action(rec.element).is_zero for rec in cert.checks)
 
     def test_unknown_adversarial_kind(self):
         with pytest.raises(ValueError):
