@@ -29,8 +29,8 @@ the package builds the same matrix as integer rows straight from the table.
 ``pair_mask_basis`` turns the package's coordinate form of the mask into
 the derivations it spans.  ``reference_combination`` sums c * d by
 multiplying every coefficient, with no shortcut for 0 or 1.
-``reference_pair_seed`` hashes the whole seed text of one honest query; the
-oracle hashes its first argument's part once and copies that state.
+``reference_pair_seed`` renders and hashes the whole seed text of one honest
+query; the oracle keeps its first argument's part of the text between queries.
 
 ``reference_signed_terms`` renders terms through ``abs`` and
 ``str(Fraction)``; the package writes each coefficient from its ints.
