@@ -15,12 +15,13 @@ constants:
 Every element coefficient is a ``fractions.Fraction``.  Every structure
 constant is a multiple of 1/12, so the structure table (``bracket_terms``)
 returns it as the ``int`` 12 times its value; ``bracket`` sums stay in
-machine integers until one division per output term, and the annihilator
-solve reads the ints into integer matrix rows.  A basis vector is a tuple of
-three ints, so its hash, equality and canonical order are the tuple's,
-computed in C.  There is no floating point anywhere in this package: a
-coefficient, index or bound that is not an ``int`` or a ``Fraction`` (a
-float, a string) is a ``TypeError``.
+machine integers until each output term is reduced once, through a bounded
+cache that gives equal (numerator, denominator) pairs one shared Fraction,
+and the annihilator solve reads the ints into integer matrix rows.  A basis
+vector is a tuple of three ints, so its hash, equality and canonical order
+are the tuple's, computed in C.  There is no floating point anywhere in this
+package: a coefficient, index or bound that is not an ``int`` or a
+``Fraction`` (a float, a string) is a ``TypeError``.
 """
 
 from __future__ import annotations
@@ -313,6 +314,9 @@ class Element:
 # Every structure constant is an integer multiple of 1 / STRUCTURE_DENOMINATOR.
 STRUCTURE_DENOMINATOR = 12
 
+# One shared Fraction per recurring int pair: dict equality skips Fraction.__eq__.
+_reduced = lru_cache(maxsize=1 << 12)(Fraction)
+
 # The three shapes of the table above.
 _WITT = "witt"      # (m - n) X_{m+n} + delta_{m+n,0} (m^3 - m)/12 * Z
 _MODULE = "module"  # (m/2 - r) X_{m+r}
@@ -373,17 +377,18 @@ def bracket_terms(u: BasisVector, v: BasisVector) -> Tuple[Tuple[BasisVector, in
     return ()
 
 
-def bracket(x: Element, y: Element) -> Element:
+def bracket(x: Element, y: Element, _start=()) -> Element:
     """Graded Lie bracket, extended bilinearly from the basis brackets.
 
-    Sums stay unreduced ``[numerator, denominator]`` int pairs, added with no
-    gcd when the denominators agree, and each output term is reduced once."""
+    Sums are unreduced ``[numerator, denominator]`` int pairs, added with no gcd
+    when the denominators agree, that start from the ``(vector, n, d)`` triples
+    of ``_start``; each output term is reduced once."""
     if x.family is not y.family:
         raise FamilyMismatchError(
             "cannot bracket elements of families %r and %r"
             % (x.family.value, y.family.value))
     ys = [(v, c.numerator, c.denominator) for v, c in y.terms.items()]
-    acc = {}
+    acc = {w: [n, d] for w, n, d in _start}
     for u, cu in x.terms.items():
         un, ud = cu.numerator, STRUCTURE_DENOMINATOR * cu.denominator
         for v, vn, vd in ys:
@@ -402,5 +407,5 @@ def bracket(x: Element, y: Element) -> Element:
     for w in sorted(acc):
         n, d = acc[w]
         if n:
-            out[w] = Fraction(n, d)
+            out[w] = _reduced(n, d)
     return Element._canonical(x.family, out)

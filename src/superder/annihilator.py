@@ -43,7 +43,7 @@ from .algebra import (
     exact,
     sector_denominator,
 )
-from .derivations import _OUTER_FIXED_KINDS, OUTER_TAG, SuperDerivation, has_outer
+from .derivations import _FIXED_RANKS, OUTER_TAG, SuperDerivation, has_outer
 from .linalg import LabeledMatrix, _kernel, kernel_basis
 
 
@@ -100,7 +100,7 @@ def _image_rows(columns: Sequence[Dict[Hashable, Scalar]],
     dc = math.lcm(*(c.denominator for col in columns for c in col.values()))
     dy = math.lcm(*(c.denominator for c in y.terms.values()))
     ys = [(v, c.numerator * (dy // c.denominator)) for v, c in y.terms.items()]
-    fixed = [(v, STRUCTURE_DENOMINATOR * n) for v, n in ys if v.kind in _OUTER_FIXED_KINDS]
+    fixed = [(v, STRUCTURE_DENOMINATOR * n) for v, n in ys if v[0] in _FIXED_RANKS]
     rows: Dict[BasisVector, Dict[int, int]] = defaultdict(dict)
     for j, col in enumerate(columns):
         for u, cu in col.items():

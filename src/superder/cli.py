@@ -109,10 +109,7 @@ def _resolve_seed(args, config: dict) -> int:
 
 
 def _emit(payload: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(payload, indent=2))
-    else:
-        print(text)
+    print(json.dumps(payload, indent=2) if as_json else text)
 
 
 def _cmd_bracket(args, family: AlgebraFamily, config: dict) -> int:

@@ -34,8 +34,7 @@ from .algebra import (
     exact,
 )
 
-_OUTER_FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
-_FIXED_RANKS = frozenset(_KIND_RANK[k] for k in _OUTER_FIXED_KINDS)
+_FIXED_RANKS = frozenset(_KIND_RANK[k] for k in (KIND_I, KIND_Q, KIND_C2))
 
 # Coordinate tag of the outer derivation direction D.
 OUTER_TAG = "D"
@@ -110,9 +109,12 @@ class SuperDerivation:
         return self.inner.is_zero and self.outer_lambda == 0
 
     def apply(self, x: Element) -> Element:
-        out, lam = bracket(self.inner, x), self.outer_lambda
-        fixed = lam and [(b, lam * c) for b, c in x.terms.items() if b[0] in _FIXED_RANKS]
-        return Element(x.family, chain(out.terms.items(), fixed)) if fixed else out
+        """[inner, x] + lambda * D(x).  The terms lambda * c of x's I, Q and C2
+        terms start the bracket's int-pair sum, so each term is reduced once."""
+        n, d = self.outer_lambda.numerator, self.outer_lambda.denominator
+        fixed = [(b, n * c.numerator, d * c.denominator)
+                 for b, c in x.terms.items() if b[0] in _FIXED_RANKS] if n else ()
+        return bracket(self.inner, x, fixed)
 
     def __add__(self, other: "SuperDerivation") -> "SuperDerivation":
         if not isinstance(other, SuperDerivation):

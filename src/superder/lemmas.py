@@ -219,11 +219,9 @@ LEMMA_NAMES = tuple(_LEMMA_RUNNERS)
 
 def run_lemma(name: str) -> dict:
     """Run one named suite and return its JSON-ready report."""
-    try:
-        runner = _LEMMA_RUNNERS[name]
-    except KeyError:
+    if name not in _LEMMA_RUNNERS:
         raise ValueError("unknown suite %r (expected one of %s)"
-                         % (name, ", ".join(LEMMA_NAMES))) from None
-    cases = runner()
+                         % (name, ", ".join(LEMMA_NAMES)))
+    cases = _LEMMA_RUNNERS[name]()
     return {"name": name, "cases": cases,
             "verdict": "pass" if all(c["pass"] for c in cases) else "fail"}

@@ -359,12 +359,10 @@ def make_adversarial_oracle(kind: str, family: AlgebraFamily) -> TwoLocalOracle:
     so the dishonesty surfaces as a failed certificate with a witness rather
     than as an OracleDefectError.
     """
-    try:
-        factory = _ADVERSARIAL_ORACLES[kind]
-    except KeyError:
+    if kind not in _ADVERSARIAL_ORACLES:
         raise ValueError("unknown adversarial oracle kind %r (expected one of %s)"
-                         % (kind, ", ".join(ADVERSARIAL_KINDS))) from None
-    return factory(family)
+                         % (kind, ", ".join(ADVERSARIAL_KINDS)))
+    return _ADVERSARIAL_ORACLES[kind](family)
 
 
 # -- homogeneity --------------------------------------------------------------------
