@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 import sys
 from fractions import Fraction
 
@@ -38,6 +39,7 @@ from superder.algebra import (
     KIND_L,
     KIND_ORDER,
     KIND_Q,
+    _reduced,
 )
 from superder.lemmas import _graded_antisymmetric, _window_table
 
@@ -428,6 +430,54 @@ class TestBracketProperties:
         assert bracket(k * x, y) == k * bracket(x, y)
         assert bracket(x, k * y) == k * bracket(x, y)
         assert bracket(x + z, y) == bracket(x, y) + bracket(z, y)
+
+
+def _assert_reference_bracket(x, y):
+    """bracket(x, y) is the bilinear sum of ``reference_bracket`` over the
+    terms of x and y, in canonical order, each coefficient a reduced Fraction."""
+    expected = {}
+    for u, cu in x.terms.items():
+        for v, cv in y.terms.items():
+            for w, c in reference_bracket(u, v).items():
+                expected[w] = expected.get(w, 0) + cu * cv * c
+    got = bracket(x, y).terms
+    assert got == {w: c for w, c in expected.items() if c}, (x, y)
+    assert list(got) == sorted(got), (x, y)
+    for c in got.values():
+        assert type(c) is Fraction and c.denominator > 0, (x, y, c)
+        assert math.gcd(c.numerator, c.denominator) == 1, (x, y, c)
+
+
+class TestReducedCoefficientCache:
+    """``bracket`` reduces each output coefficient through one bounded LRU
+    cache keyed by the unreduced int pair.  No other test fills it past its
+    size, so these do, and read brackets whose pairs it evicted."""
+
+    def test_the_cache_is_bounded(self):
+        maxsize = _reduced.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1 << 16
+
+    def test_brackets_match_the_reference_past_eviction(self):
+        maxsize = _reduced.cache_info().maxsize
+        pools = {f: GradedWindow(F(12)).basis_vectors(f) for f in sg.ALL_FAMILIES}
+        rng = random.Random(23)
+
+        def draw(family):
+            return Element(family, [(rng.choice(pools[family]),
+                                     rng.choice(sg.QUARTER_RATIONALS))
+                                    for _ in range(rng.randint(2, 4))])
+
+        _reduced.cache_clear()
+        pairs = []
+        while _reduced.cache_info().misses <= maxsize:
+            assert len(pairs) < 10 * maxsize, "the draws repeat too few pairs"
+            family = sg.ALL_FAMILIES[len(pairs) % len(sg.ALL_FAMILIES)]
+            pairs.append((draw(family), draw(family)))
+            _assert_reference_bracket(*pairs[-1])
+        assert _reduced.cache_info().currsize == maxsize
+        # The first pairs' coefficients were evicted long ago: read them again.
+        for x, y in pairs[:300]:
+            _assert_reference_bracket(x, y)
 
 
 def _rebind_bracket(monkeypatch, patched):
