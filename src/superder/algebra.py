@@ -75,6 +75,40 @@ class IndexNotInSectorError(PositionedError):
     """An index outside the legal sector of a (family, kind) pair."""
 
 
+class _Record:
+    """Base of the package's immutable records; ``__slots__`` names the fields
+    in constructor order, given by position or name.  A record equals only its
+    own type, hashes and prints its fields, and is copied and pickled by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kw):
+        args += tuple(kw.pop(f) for f in self.__slots__[len(args):] if f in kw) if kw else ()
+        if kw or len(args) != len(self.__slots__):
+            raise TypeError("%s() takes the fields %s" % (type(self).__name__, self.__slots__))
+        for name, value in zip(self.__slots__, args):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % field for field in zip(self.__slots__, self.__reduce__()[1])))
+
+
 class AlgebraFamily(Enum):
     VIR = "vir"
     SVIR0 = "svir0"

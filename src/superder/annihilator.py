@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
@@ -39,6 +38,7 @@ from .algebra import (
     BasisVector,
     Element,
     Scalar,
+    _Record,
     bracket_terms,
     exact,
     sector_denominator,
@@ -51,17 +51,16 @@ class ZeroTargetError(ValueError):
     """The zero element has no meaningful annihilator problem."""
 
 
-@dataclass(frozen=True)
-class GradedWindow:
+class GradedWindow(_Record):
     """A symmetric index window |index| <= bound for derivation support."""
 
-    bound: Fraction
+    __slots__ = ("bound",)
 
-    def __post_init__(self):
-        b = self.bound if type(self.bound) is Fraction else exact(self.bound)
+    def __init__(self, bound: Fraction):
+        b = bound if type(bound) is Fraction else exact(bound)
         if b < 0:
             raise ValueError("window bound must be non-negative")
-        object.__setattr__(self, "bound", b)
+        super().__init__(b)
 
     def _indices(self, family: AlgebraFamily, kind: str) -> List[Fraction]:
         # r = m/den in lowest terms with |m| <= den * bound.
@@ -141,13 +140,10 @@ def evaluation_matrix(target: Element, window: GradedWindow) -> LabeledMatrix:
                                        for w in order for j, n in rows[w].items()})
 
 
-@dataclass(frozen=True)
-class DerivationSpace:
+class DerivationSpace(_Record):
     """A finite-dimensional space of superderivations, with provenance."""
 
-    basis: Tuple[SuperDerivation, ...]
-    window: GradedWindow
-    target: Element
+    __slots__ = ("basis", "window", "target")
 
     @property
     def dimension(self) -> int:

@@ -113,8 +113,7 @@ def _emit(payload: dict, as_json: bool, text: str) -> None:
 
 
 def _cmd_bracket(args, family: AlgebraFamily, config: dict) -> int:
-    x = parse_element(args.x, family)
-    y = parse_element(args.y, family)
+    x, y = (parse_element(e, family) for e in (args.x, args.y))
     value = bracket(x, y)
     _emit({"algebra": family.value, "x": format_element(x),
            "y": format_element(y), "result": format_element(value)},
@@ -134,8 +133,7 @@ def _cmd_jacobi(args, family: AlgebraFamily, config: dict) -> int:
 
 def _cmd_defect(args, family: AlgebraFamily, config: dict) -> int:
     d = parse_derivation(args.derivation, family)
-    x = parse_element(args.x, family)
-    y = parse_element(args.y, family)
+    x, y = (parse_element(e, family) for e in (args.x, args.y))
     value = leibniz_defect(d, x, y)
     _emit({"algebra": family.value, "derivation": format_derivation(d),
            "x": format_element(x), "y": format_element(y),

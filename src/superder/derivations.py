@@ -16,7 +16,6 @@ either one through it alone, with four ``bracket`` calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from typing import Dict, Hashable, Iterable, Mapping, Tuple, Union
@@ -30,6 +29,7 @@ from .algebra import (
     Element,
     FamilyMismatchError,
     _KIND_RANK,
+    _Record,
     bracket,
     exact,
 )
@@ -55,8 +55,7 @@ def outer_action(x: Element) -> Element:
                                          if b[0] in _FIXED_RANKS})
 
 
-@dataclass(frozen=True)
-class SuperDerivation:
+class SuperDerivation(_Record):
     """Normal form of a superderivation: ad(inner) + outer_lambda * D.
 
     The inner element is stored without central terms (ad of a central
@@ -64,22 +63,18 @@ class SuperDerivation:
     ``outer_lambda`` is rejected outside the sw22 family.
     """
 
-    family: AlgebraFamily
-    inner: Element
-    outer_lambda: Fraction = Fraction(0)
+    __slots__ = ("family", "inner", "outer_lambda")
 
-    def __post_init__(self):
-        if self.inner.family is not self.family:
+    def __init__(self, family: AlgebraFamily, inner: Element, outer_lambda=Fraction(0)):
+        if inner.family is not family:
             raise FamilyMismatchError("inner element belongs to a different family")
-        lam = self.outer_lambda
-        lam = lam if type(lam) is Fraction else exact(lam)
-        if lam != 0 and not has_outer(self.family):
+        lam = outer_lambda if type(outer_lambda) is Fraction else exact(outer_lambda)
+        if lam != 0 and not has_outer(family):
             raise ValueError("only the sw22 family has an outer derivation direction")
-        if any(b.is_central for b in self.inner.terms):
-            stripped = Element(self.family, ((b, c) for b, c in self.inner.terms.items()
-                                             if not b.is_central))
-            object.__setattr__(self, "inner", stripped)
-        object.__setattr__(self, "outer_lambda", lam)
+        if any(b.is_central for b in inner.terms):
+            inner = Element(family, ((b, c) for b, c in inner.terms.items()
+                                     if not b.is_central))
+        super().__init__(family, inner, lam)
 
     @classmethod
     def zero(cls, family: AlgebraFamily) -> "SuperDerivation":
@@ -152,22 +147,19 @@ def _combination(family: AlgebraFamily,
                                               if c and d.outer_lambda))
 
 
-@dataclass
-class RawLinearMap:
+class RawLinearMap(_Record):
     """A finite basis-vector table extended linearly; not a derivation.
 
     Zero images are dropped and the table is kept in canonical key order, so
     equal maps compare equal and serialise identically.
     """
 
-    family: AlgebraFamily
-    table: Dict[BasisVector, Element] = field(default_factory=dict)
+    __slots__ = ("family", "table")
 
-    def __post_init__(self):
-        if any(bv.family is not self.family or img.family is not self.family
-               for bv, img in self.table.items()):
+    def __init__(self, family: AlgebraFamily, table: Dict[BasisVector, Element] = {}):
+        if any(v.family is not family or e.family is not family for v, e in table.items()):
             raise FamilyMismatchError("raw map table mixes families")
-        self.table = {bv: img for bv, img in sorted(self.table.items()) if not img.is_zero}
+        super().__init__(family, {v: e for v, e in sorted(table.items()) if not e.is_zero})
 
     def apply(self, x: Element) -> Element:
         return Element(self.family, ((b, c * ic) for bv, c in x.terms.items()

@@ -21,15 +21,15 @@ second elimination is needed and no elimination order can change the output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Hashable, Iterable, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Optional, Sequence, Tuple
+
+from .algebra import _Record
 
 IntRow = Dict[int, int]
 
 
-@dataclass
-class LabeledMatrix:
+class LabeledMatrix(_Record):
     """A sparse rational matrix whose rows and columns carry opaque labels.
 
     ``entries`` maps ``(row_label, col_label)`` to a nonzero Fraction.  The
@@ -37,21 +37,21 @@ class LabeledMatrix:
     dynamically by the caller and sorted before construction.
     """
 
-    row_labels: Tuple[Hashable, ...]
-    col_labels: Tuple[Hashable, ...]
-    entries: Dict[Tuple[Hashable, Hashable], Fraction] = field(default_factory=dict)
+    __slots__ = ("row_labels", "col_labels", "entries")
 
-    def __post_init__(self):
-        rows, cols = set(self.row_labels), set(self.col_labels)
-        if len(rows) != len(self.row_labels):
+    def __init__(self, row_labels: tuple, col_labels: tuple, entries: Optional[dict] = None):
+        entries = {} if entries is None else entries
+        rows, cols = set(row_labels), set(col_labels)
+        if len(rows) != len(row_labels):
             raise ValueError("duplicate row labels")
-        if len(cols) != len(self.col_labels):
+        if len(cols) != len(col_labels):
             raise ValueError("duplicate column labels")
-        stray = next(((r, c) for r, c in self.entries if r not in rows or c not in cols), None)
+        stray = next(((r, c) for r, c in entries if r not in rows or c not in cols), None)
         if stray is not None:
             raise ValueError("entry %r outside the declared labels" % (stray,))
-        if not all(self.entries.values()):
+        if not all(entries.values()):
             raise ValueError("stored entries must be nonzero")
+        super().__init__(row_labels, col_labels, entries)
 
     @property
     def shape(self) -> Tuple[int, int]:

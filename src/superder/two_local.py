@@ -20,15 +20,13 @@ combines its random mask in coordinates over its first argument's
 
 from __future__ import annotations
 
-import hashlib
 import json
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, exact
+from .algebra import KIND_L, AlgebraFamily, BasisVector, Element, _Record, exact
 from .annihilator import GradedWindow, _mask_base, _pair_mask
 from .derivations import (
     MapLike,
@@ -50,8 +48,7 @@ class OracleAnswer(NamedTuple):
     delta_y: Element
 
 
-@dataclass(frozen=True)
-class TwoLocalOracle:
+class TwoLocalOracle(_Record):
     """A query interface for a 2-local map on one algebra family.
 
     ``query(x, y)`` returns an ``OracleAnswer``; the contract is that the
@@ -60,8 +57,7 @@ class TwoLocalOracle:
     silently repaired.
     """
 
-    family: AlgebraFamily
-    query: Callable[[Element, Element], OracleAnswer]
+    __slots__ = ("family", "query")
 
 
 def checked_query(oracle: TwoLocalOracle, x: Element, y: Element) -> OracleAnswer:
@@ -91,8 +87,7 @@ _TEST_COEFFS = (Fraction(-3), Fraction(-2), Fraction(-1), Fraction(-1, 2),
 MAX_RANDOM_TESTS = 10_000
 
 
-@dataclass(frozen=True)
-class TestSet:
+class TestSet(_Record):
     """The elements a certificate checks: a basis sweep plus random probes.
 
     ``random_count`` must lie between 0 and ``MAX_RANDOM_TESTS``.
@@ -100,38 +95,29 @@ class TestSet:
 
     # Not a test case, despite the name pytest would otherwise collect.
     __test__ = False
+    __slots__ = ("basis_bound", "random_count", "seed")
 
-    basis_bound: GradedWindow
-    random_count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.random_count < 0:
+    def __init__(self, basis_bound: GradedWindow, random_count: int, seed: int):
+        if random_count < 0:
             raise ValueError("the random test count must be non-negative")
-        if self.random_count > MAX_RANDOM_TESTS:
-            raise ValueError("the random test count must be at most %d"
-                             % MAX_RANDOM_TESTS)
+        if random_count > MAX_RANDOM_TESTS:
+            raise ValueError("the random test count must be at most %d" % MAX_RANDOM_TESTS)
+        super().__init__(basis_bound, random_count, seed)
 
     def elements(self, family: AlgebraFamily) -> Tuple[Element, ...]:
         pool = self.basis_bound.basis_vectors(family)
         out = [Element.basis(bv) for bv in pool]
         rng = random.Random(self.seed)
         for _ in range(self.random_count):
-            k = rng.randint(1, min(4, len(pool)))
-            chosen = rng.sample(pool, k)
-            out.append(Element(family, ((bv, rng.choice(_TEST_COEFFS))
-                                        for bv in chosen)))
+            chosen = rng.sample(pool, rng.randint(1, min(4, len(pool))))
+            out.append(Element(family, ((bv, rng.choice(_TEST_COEFFS)) for bv in chosen)))
         return tuple(out)
 
 
 # -- certificates --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckRecord:
-    element: Element
-    expected: Element
-    got: Element
-    passed: bool
+class CheckRecord(_Record):
+    __slots__ = ("element", "expected", "got", "passed")
 
     def to_dict(self) -> dict:
         # A passing check has got == expected, so one string serves both.
@@ -144,16 +130,10 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Re-checkable evidence for a globalization run."""
 
-    family: AlgebraFamily
-    candidate: MapLike
-    mu: Fraction
-    checks: Tuple[CheckRecord, ...]
-    verdict: str
-    failure_witness: Optional[Element]
+    __slots__ = ("family", "candidate", "mu", "checks", "verdict", "failure_witness")
 
     def to_dict(self) -> dict:
         if isinstance(self.candidate, SuperDerivation):
@@ -222,8 +202,7 @@ def globalize(oracle: TwoLocalOracle, test_set: TestSet) -> Certificate:
     """
     family = oracle.family
     a1, a2, probe = anchor_pair(family)
-    answer = checked_query(oracle, a1, a2)
-    candidate: MapLike = answer.local_map
+    candidate: MapLike = checked_query(oracle, a1, a2).local_map
     if isinstance(candidate, SuperDerivation):
         candidate = SuperDerivation(family, candidate.inner)
 
@@ -269,19 +248,20 @@ def make_honest_oracle(d: SuperDerivation, mask_window: GradedWindow,
     mask is one ``_combination``.  The masked map is evaluated only by
     ``checked_query``, which thereby checks the mask.  A mask window of bound
     0 disables masking.  ``globalize`` puts its anchor a1 first in every
-    query, so the oracle keeps, for the most recent first argument x only,
-    d(x), the x part of the seed text and x's ``_mask_base``.
+    query, so the oracle keeps d(x), the x part of the seed text and x's
+    ``_mask_base`` for the last first argument x, matched by identity.
     """
-    family = d.family
+    import hashlib  # here, not at module level: only honest oracles hash
 
-    @lru_cache(maxsize=1)
-    def first(x: Element):
-        prefix = "%d|%s|%s|" % (seed, family.value, format_element(x))
-        return d.apply(x), prefix, mask_window.bound and _mask_base(x, mask_window)
+    family = d.family
+    kept = [None]
 
     def query(x: Element, y: Element) -> OracleAnswer:
+        if x is not kept[0]:
+            kept[:] = (x, d.apply(x), "%d|%s|%s|" % (seed, family.value, format_element(x)),
+                       mask_window.bound and _mask_base(x, mask_window))
+        _, delta_x, prefix, x_base = kept
         local = d
-        delta_x, prefix, x_base = first(x)
         base, vectors = _pair_mask(x_base, y) if x_base else ((), ())
         if vectors:
             digest = hashlib.sha256((prefix + format_element(y)).encode("utf-8")).digest()

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: output shapes, exit codes, precedence."""
 
+import hashlib
 import json
 import os
 import re
@@ -360,9 +361,9 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv, cap", CAPPED)
     def test_bound_just_over_the_cap(self, capsys, monkeypatch, argv, cap):
-        def no_window(self):
+        def no_window(self, *args):
             raise AssertionError("a window was built")
-        monkeypatch.setattr(GradedWindow, "__post_init__", no_window)
+        monkeypatch.setattr(GradedWindow, "__init__", no_window)
         code, out, err = run(capsys, *argv, "%d/2" % (2 * cap + 1))
         assert code == 2
         assert out == ""
@@ -474,6 +475,37 @@ class TestErrors:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+# sha256 of `superder globalize --algebra sw22 --oracle 'honest:ad(I[2]) + 3*D'
+# --seed 7`, the certificate CI pins for the installed console script.
+SW22_HONEST_PIN = "b3a37393be588fb532d100561a90b076a3c82fa6efc8bcb66e45b92e55f779c6"
+
+
+class TestImportFootprint:
+    """Importing ``superder.cli`` is most of a short command's wall clock, so
+    it loads no module that the package only needs for some commands."""
+
+    PROBE = "\n".join([
+        "import sys",
+        "before = set(sys.modules)",
+        "import superder.cli",
+        "print(' '.join(sorted(set(sys.modules) - before)), file=sys.stderr)",
+        "code = superder.cli.run_command(['globalize', '--algebra', 'sw22', '--oracle',",
+        "                                 'honest:ad(I[2]) + 3*D', '--seed', '7'])",
+        "print(code, 'hashlib' in sys.modules, file=sys.stderr)",
+    ])
+
+    def test_cli_import_then_an_honest_globalize(self):
+        # Only modules new to the fresh interpreter count, so a site hook
+        # that preloads one of them does not fail this test.
+        proc = subprocess.run([sys.executable, "-c", self.PROBE], capture_output=True,
+                              check=True, env={**os.environ, "PYTHONPATH": SRC})
+        new, after = proc.stderr.decode().splitlines()
+        assert {"dataclasses", "inspect", "hashlib"}.isdisjoint(new.split())
+        assert "superder.two_local" in new.split()
+        assert after == "0 True"
+        assert hashlib.sha256(proc.stdout).hexdigest() == SW22_HONEST_PIN
 
 
 class TestSharedParser:

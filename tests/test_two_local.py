@@ -293,6 +293,30 @@ class TestHonestOracle:
         oracle.query(a1, a2)
         assert calls[len(ys) + 1:] == [a2, a1, a1, a2]
 
+    def test_the_kept_first_argument_is_matched_without_hashing(self, monkeypatch):
+        """A repeated first argument is found by identity, so it is never
+        hashed; an equal but distinct one recomputes the same answers."""
+        d = sample_derivation(SW22)
+        window = GradedWindow(F(4))
+        a1, a2, probe = anchor_pair(SW22)
+        oracle = make_honest_oracle(d, window, seed=3)
+        first = oracle.query(a1, a2)
+        element_hash, hashed = Element.__hash__, []
+
+        def counted(self):
+            hashed.append(self)
+            return element_hash(self)
+
+        monkeypatch.setattr(Element, "__hash__", counted)
+        assert oracle.query(a1, a2) == first
+        assert hashed == []
+        monkeypatch.undo()
+        twin = Element(SW22, dict(a1.terms))
+        assert twin == a1 and twin is not a1
+        assert oracle.query(twin, a2) == first
+        fresh = make_honest_oracle(d, window, seed=3)
+        assert oracle.query(a1, probe) == fresh.query(a1, probe)
+
 
 class TestGlobalizeHonest:
     def test_vir_recovers_the_derivation(self):
