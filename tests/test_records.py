@@ -90,20 +90,16 @@ def ids(records):
     return [r[0].__name__ for r in records]
 
 
-def build(cls, fields):
-    return cls(**fields)
-
-
 @pytest.mark.parametrize("cls, fields, frozen, text", RECORDS, ids=ids(RECORDS))
 class TestRecord:
     def test_keyword_construction(self, cls, fields, frozen, text):
-        record = build(cls, fields)
+        record = cls(**fields)
         assert record == cls(*fields.values())
         for name, value in fields.items():
             assert getattr(record, name) == value
 
     def test_equality_is_type_strict(self, cls, fields, frozen, text):
-        record = build(cls, fields)
+        record = cls(**fields)
         look_alike = SimpleNamespace(**fields)
         subclass = type("Sub" + cls.__name__, (cls,), {})
         assert record.__eq__(look_alike) is NotImplemented
@@ -113,10 +109,10 @@ class TestRecord:
         assert record != tuple(fields.values())
 
     def test_repr(self, cls, fields, frozen, text):
-        assert repr(build(cls, fields)) == text
+        assert repr(cls(**fields)) == text
 
     def test_deepcopy(self, cls, fields, frozen, text):
-        record = build(cls, fields)
+        record = cls(**fields)
         again = copy.deepcopy(record)
         assert type(again) is cls
         assert again == record
@@ -126,14 +122,14 @@ class TestRecord:
 @pytest.mark.parametrize("cls, fields, frozen, text", FROZEN, ids=ids(FROZEN))
 class TestFrozenRecord:
     def test_equal_records_hash_equal(self, cls, fields, frozen, text):
-        a, b = build(cls, fields), build(cls, fields)
+        a, b = cls(**fields), cls(**fields)
         assert a is not b
         assert a == b
         assert hash(a) == hash(b)
         assert hash(a) == hash(tuple(fields.values()))
 
     def test_fields_refuse_assignment_and_deletion(self, cls, fields, frozen, text):
-        record = build(cls, fields)
+        record = cls(**fields)
         for name, value in fields.items():
             with pytest.raises(AttributeError):
                 setattr(record, name, value)
@@ -148,7 +144,7 @@ def test_pickle_round_trip(cls, fields, frozen, text, protocol):
     """Every record whose fields pickle at a protocol pickles there to an
     equal record; ``Element`` has no state for protocols 0 and 1, so a
     record holding one refuses those protocols like its field does."""
-    record = build(cls, fields)
+    record = cls(**fields)
     try:
         pickle.dumps(tuple(fields.values()), protocol)
     except TypeError:
@@ -162,7 +158,7 @@ def test_pickle_round_trip(cls, fields, frozen, text, protocol):
 
 def test_pickling_covers_every_record_from_protocol_2():
     for cls, fields, _, _ in PICKLED:
-        assert pickle.loads(pickle.dumps(build(cls, fields), 2)) == build(cls, fields)
+        assert pickle.loads(pickle.dumps(cls(**fields), 2)) == cls(**fields)
 
 
 class TestDefaultsAndNormalisation:
