@@ -30,6 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from operator import attrgetter
 from typing import Dict, Iterable, Optional, Tuple, Union
 
 Scalar = Union[int, Fraction]
@@ -82,6 +83,11 @@ class _Record:
 
     __slots__ = ()
 
+    def __init_subclass__(cls):
+        # The fields as a tuple, read in C; one name alone gives the bare value.
+        get = attrgetter(*cls.__slots__)
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda r: (get(r),))
+
     def __init__(self, *args, **kw):
         args += tuple(kw.pop(f) for f in self.__slots__[len(args):] if f in kw) if kw else ()
         if kw or len(args) != len(self.__slots__):
@@ -90,7 +96,7 @@ class _Record:
             object.__setattr__(self, name, value)
 
     def __reduce__(self):
-        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+        return type(self), self._fields(self)
 
     def __setattr__(self, name, value=None):
         raise AttributeError("cannot assign to field %r" % name)
@@ -99,14 +105,14 @@ class _Record:
 
     def __eq__(self, other):
         same = type(other) is type(self)
-        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+        return self._fields(self) == other._fields(other) if same else NotImplemented
 
     def __hash__(self):
-        return hash(self.__reduce__()[1])
+        return hash(self._fields(self))
 
     def __repr__(self):
         return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % field for field in zip(self.__slots__, self.__reduce__()[1])))
+            "%s=%r" % field for field in zip(self.__slots__, self._fields(self))))
 
 
 class AlgebraFamily(Enum):

@@ -70,11 +70,7 @@ class GradedWindow(_Record):
 
     @lru_cache(maxsize=256)
     def generators(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
-        """Non-central basis vectors inside the window, in canonical order.
-
-        Computed once per (window, family) and kept, like the annihilator
-        memo, for the 256 most recently used pairs.
-        """
+        """Non-central basis vectors inside the window, in canonical order."""
         return tuple(BasisVector(family, kind, idx) for kind in family.noncentral_kinds
                      for idx in self._indices(family, kind))
 
@@ -160,8 +156,6 @@ def annihilator_basis(target: Element, window: GradedWindow) -> DerivationSpace:
 
     The basis comes from the canonical kernel of the evaluation matrix, so it
     is deterministic; every member satisfies d.apply(target) == 0 exactly.
-    Results are memoised on (target, window), keeping the 256 most recently
-    used.
     """
     rows, _ = _window_rows(target, window)
     basis = tuple(SuperDerivation.from_coords(target.family, vec)

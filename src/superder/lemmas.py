@@ -3,17 +3,17 @@
 The sweeps exhaustively confirm super anti-symmetry and the graded Jacobi
 identity over a bounded index range, and the Leibniz rule for the
 distinguished outer derivation of sw22.  The anti-symmetry and Jacobi sweeps
-are the implementation check of the structure table: they read each constant
-they need once through ``bracket_terms``, whose ints are 12 times the true
-constants, into a table over numbered vectors (``_window_table``), and count
-violations with int arithmetic only.  The Jacobi sweep evaluates one triple
-per permutation orbit when a term-by-term check proves the table graded
-antisymmetric, and all n^3 triples otherwise.  The named suites reproduce
+are the implementation check of the structure table: ``_window_table`` reads
+each pair of vectors they need once through ``bracket_terms``, in both
+orders, into a table over numbered vectors of ints 12 times the true
+constants, and proves as it reads that the table is its own graded mirror.
+The Jacobi sweep then evaluates one triple per permutation orbit and reads
+[x, w] for a reached x off the row of w; on any other table it sweeps all
+n^3 triples.  Counts use int arithmetic only.  The named suites reproduce
 the annihilator facts that drive globalization: annihilators of single odd
 generators, of even-plus-odd probe elements, and of mixed even elements,
-each with an exact predicted basis or dimension.  Their targets and
-predicted bases are written in the surface grammar of ``expr``, as the paper
-states them, and read with ``parse_element`` and ``parse_derivation``.
+each with an exact predicted basis or dimension, written in the surface
+grammar of ``expr`` as the paper states them.
 """
 
 from __future__ import annotations
@@ -30,49 +30,54 @@ from .expr import fraction_json, parse_derivation, parse_element
 def _window_table(family: AlgebraFamily, bound):
     """The structure constants the window sweeps need, as one table.
 
-    Reads each needed constant once through ``bracket_terms``: every pair
-    of window vectors, then each window vector against every vector those
-    brackets reach, in both orders.  Vectors get int ids in the order they
-    are reached, window vectors first in window order.  Returns
-    ``(n, parities, rows)``: the window size n, ``parities[i]`` of every
-    numbered vector i, as ``_graded_antisymmetric`` reads it for each term,
-    and ``rows[a][b]`` = the bracket of vectors a and b as ((id, constant), ...),
-    defined for a window vector a against any b, and for a reached vector a
-    against a window vector b.  Brackets with reached vectors may give
-    vectors further out; those get ids but no rows.
-
-    The constants are the ints of ``bracket_terms``, 12 times the true
-    ones.  Each Jacobiator is then 144 times the true one and each
-    antisymmetry sum 12 times, so the violation counts are exact.
+    Reads each unordered pair once through ``bracket_terms``, in both orders:
+    every pair of window vectors, then each window vector against every
+    vector x those brackets reach; vectors get int ids in the order reached,
+    window vectors first.  Returns ``(n, parities, rows, mirrored)``: the
+    window size n, ``parities[i]`` of each numbered vector i, ``rows[a][b]`` =
+    the bracket of a window vector a and any b as ((id, constant), ...), and
+    whether every pair read had [v,u] = -(-1)^{|u||v|} [u,v] term by term, each
+    term of parity |u| xor |v|.  If not, ``rows[x][w]`` also holds [x,w] for
+    each reached x and window vector w; vectors further out get no rows.  The
+    constants are 12 times the true ones, so the violation counts are exact.
     """
     window = GradedWindow(bound).basis_vectors(family)
-    ids = {vec: i for i, vec in enumerate(window)}
+    n, ids = len(window), {vec: i for i, vec in enumerate(window)}
+    parities, mirrored = [u.parity for u in window], True
 
-    def row(u, columns):
-        return [tuple((ids.setdefault(w, len(ids)), c) for w, c in bracket_terms(u, v))
-                for v in columns]
+    def read(u, pu, v, pv):
+        nonlocal mirrored
+        uv, row = bracket_terms(u, v), []
+        for w, c in uv:
+            i = ids.get(w)
+            if i is None:
+                i = ids[w] = len(parities)
+                parities.append(w.parity)
+            mirrored = mirrored and parities[i] == pu ^ pv
+            row.append((i, c))
+        mirrored = mirrored and bracket_terms(v, u) == (
+            uv if pu and pv else tuple([(w, -c) for w, c in uv]))
+        return tuple(row)
 
-    rows = [row(u, window) for u in window]
-    reached = tuple(ids)[len(window):]
-    rows = [ru + row(u, reached) for u, ru in zip(window, rows)]
-    rows += [row(x, window) for x in reached]
-    return len(window), [u.parity for u in ids], rows
-
-
-def _graded_antisymmetric(n, parities, rows) -> bool:
-    """Whether rows[a][b] is rows[b][a] times -(-1)^{|a||b|} term by term, with
-    every term of parity |a| xor |b|, for each window vector a and each b it
-    has a row for.  The relation is symmetric, so window pairs are compared once."""
-    return all(ab == tuple((y, (1 if parities[a] and parities[b] else -1) * c)
-                           for y, c in rows[b][a])
-               and all(parities[y] == parities[a] ^ parities[b] for y, _ in ab)
-               for a in range(n) for b in range(a, len(rows[a]))
-               if (ab := rows[a][b]) or rows[b][a])
+    rows = [[()] * n for _ in window]
+    for a, u in enumerate(window):
+        for b in range(a, n):
+            pa, pb = parities[a], parities[b]
+            uv = rows[a][b] = read(u, pa, window[b], pb)
+            rows[b][a] = (uv if pa and pb else tuple([(i, -c) for i, c in uv])) \
+                if mirrored else read(window[b], pb, u, pa)
+    reached = tuple(enumerate(tuple(ids)[n:], n))
+    for a, u in enumerate(window):
+        rows[a] += [read(u, parities[a], x, parities[j]) for j, x in reached]
+    if not mirrored:
+        rows += [[read(x, parities[j], v, parities[b]) for b, v in enumerate(window)]
+                 for j, x in reached]
+    return n, parities, rows, mirrored
 
 
 def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of [u,v] = -(-1)^{|u||v|} [v,u] over basis pairs."""
-    n, parities, rows = _window_table(family, bound)
+    n, parities, rows, _ = _window_table(family, bound)
     violations = 0
     for u in range(n):
         for v in range(n):
@@ -93,22 +98,19 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     A triple whose brackets [u,v], [v,w] and [u,w] are all zero holds
     trivially; it is counted and not evaluated.
 
-    If the table passes ``_graded_antisymmetric``, the dicts obey, entry by
-    entry, J(v,u,w) = -(-1)^{|u||v|} J(u,v,w) and J(u,w,v) =
-    -(-1)^{|v||w|} J(u,v,w): the mirror of [u,v] gives the first, and the
-    mirrors of [v,w] and of v and w against the terms of [u,w] and [u,v],
-    whose parities the check fixes, give the second.  Whether a triple
-    violates is then constant on its orbit, so only u <= v <= w is
-    evaluated and a violation counts once per distinct permutation (1, 3 or
-    6).  Any other table is swept over all n^3 triples, so the count is
-    exact for every table.
+    On a mirrored table (``_window_table``) -[x,w] is (-1)^{|x||w|} [w,x],
+    with |x| = |u| xor |v| for x in [u,v], and the dicts obey J(v,u,w) =
+    -(-1)^{|u||v|} J(u,v,w) and J(u,w,v) = -(-1)^{|v||w|} J(u,v,w) entry by
+    entry.  Whether a triple violates is then constant on its orbit, so only
+    u <= v <= w is evaluated and a violation counts once per distinct
+    permutation (1, 3 or 6).  Any other table is swept over all n^3 triples,
+    so the count is exact for every table.
     """
-    n, parities, rows = _window_table(family, bound)
-    by_orbit = _graded_antisymmetric(n, parities, rows)
+    n, parities, rows, by_orbit = _window_table(family, bound)
     violations = 0
     for u, ru in enumerate(rows[:n]):
         for v in range(u if by_orbit else 0, n):
-            rv, uv = rows[v], ru[v]
+            rv, uv, odd = rows[v], ru[v], parities[u] ^ parities[v]
             # The coefficient -(-1)^{|u||v|} of [v,[u,w]] on the left side.
             sign = 1 if (parities[u] and parities[v]) else -1
             for w in range(v if by_orbit else 0, n):
@@ -119,9 +121,11 @@ def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
                 for x, c in vw:
                     for y, d in ru[x]:
                         acc[y] = acc.get(y, 0) + c * d
+                flip = 1 if by_orbit and not (odd and parities[w]) else -1
                 for x, c in uv:
-                    for y, d in rows[x][w]:
-                        acc[y] = acc.get(y, 0) - c * d
+                    c *= flip
+                    for y, d in rows[w][x] if by_orbit else rows[x][w]:
+                        acc[y] = acc.get(y, 0) + c * d
                 for x, c in uw:
                     c *= sign
                     for y, d in rv[x]:

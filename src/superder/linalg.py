@@ -91,12 +91,8 @@ def _eliminate(a: IntRow, b: IntRow, col: int) -> IntRow:
 
 
 def _echelon(rows: Iterable[IntRow]) -> Dict[int, IntRow]:
-    """Forward pass: integer echelon rows keyed by pivot column,
-    each pivot the last nonzero column of its row.
-
-    Rows are taken shortest first, so the long ones are reduced against
-    sparse pivots rather than chained through each other.
-    """
+    """Forward pass: integer echelon rows keyed by pivot column, each pivot
+    the last nonzero column of its row, the rows taken shortest first."""
     pivots: Dict[int, IntRow] = {}
     for work in sorted(rows, key=len):
         while work:

@@ -41,7 +41,7 @@ from superder.algebra import (
     KIND_Q,
     _reduced,
 )
-from superder.lemmas import _graded_antisymmetric, _window_table
+from superder.lemmas import _window_table
 
 import strategies as sg
 from helpers import reference_antisymmetry_sweep, reference_bracket, reference_jacobi_sweep
@@ -519,6 +519,17 @@ class TestSweepsDetectViolations:
         _scale_bracket(monkeypatch, {(self.L1, self.G0)}, 2)
         assert antisymmetry_sweep(SVIR0, 2) == (2, 121)
 
+    def test_one_sided_change_on_a_reached_row(self, monkeypatch):
+        """[L3, G0] is read only as a window vector against a reached one,
+        never as a window pair.  Scaled in that order alone, the table is not
+        mirrored, and the full sweep must read [L3, G0] itself: deriving it
+        from [G0, L3] would find no violation."""
+        L3 = bv(SVIR0, KIND_L, 3)
+        _scale_bracket(monkeypatch, {(L3, self.G0)}, 2)
+        assert not _window_table(SVIR0, 2)[3]
+        assert jacobi_sweep(SVIR0, 2) == reference_jacobi_sweep(SVIR0, 2) == (4, 1331)
+        assert antisymmetry_sweep(SVIR0, 2) == (0, 121)
+
     def test_two_sided_change_breaks_only_jacobi(self, monkeypatch):
         _scale_bracket(monkeypatch, {(self.L1, self.G0), (self.G0, self.L1)}, 2)
         assert antisymmetry_sweep(SVIR0, 2) == (0, 121)
@@ -564,7 +575,7 @@ class TestSweepsDetectViolations:
         factor = data.draw(st.sampled_from((0, -1, 2, F(3, 5), F(5, 7))), label="factor")
         with pytest.MonkeyPatch.context() as monkeypatch:
             _scale_bracket(monkeypatch, {(u, v), (v, u)}, factor)
-            assert _graded_antisymmetric(*_window_table(family, bound))
+            assert _window_table(family, bound)[3]
             assert antisymmetry_sweep(family, bound) \
                 == reference_antisymmetry_sweep(family, bound)
             assert jacobi_sweep(family, bound) == reference_jacobi_sweep(family, bound)
@@ -575,7 +586,7 @@ class TestSweepsDetectViolations:
         identities do not hold, and every triple must be evaluated."""
         wrong = {(self.L1, self.G0): ((self.L1, 12),), (self.G0, self.L1): ((self.L1, -12),)}
         _rebind_bracket(monkeypatch, lambda u, v: wrong.get((u, v)) or bracket_terms(u, v))
-        assert not _graded_antisymmetric(*_window_table(SVIR0, 2))
+        assert not _window_table(SVIR0, 2)[3]
         assert antisymmetry_sweep(SVIR0, 2) == reference_antisymmetry_sweep(SVIR0, 2)
         assert jacobi_sweep(SVIR0, 2) == reference_jacobi_sweep(SVIR0, 2)
 
@@ -583,5 +594,9 @@ class TestSweepsDetectViolations:
     @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
     def test_the_true_table_takes_the_orbit_sweep(self, family, bound):
         """A check that rejected the true table would keep every count exact
-        but sweep all n^3 triples; no count shows that, so this test does."""
-        assert _graded_antisymmetric(*_window_table(family, bound))
+        but sweep all n^3 triples; no count shows that, so this test does.
+        Nor would rows built for reached vectors, which the orbit sweep reads
+        off the window rows instead."""
+        n, _, rows, mirrored = _window_table(family, bound)
+        assert mirrored
+        assert len(rows) == n
