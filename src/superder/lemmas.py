@@ -2,18 +2,16 @@
 
 The sweeps exhaustively confirm super anti-symmetry and the graded Jacobi
 identity over a bounded index range, and the Leibniz rule for the
-distinguished outer derivation of sw22.  The anti-symmetry and Jacobi sweeps
-are the implementation check of the structure table: ``_window_table`` reads
-each pair of vectors they need once through ``bracket_terms``, in both
-orders, into a table over numbered vectors of ints 12 times the true
-constants, and proves as it reads that the table is its own graded mirror.
-The Jacobi sweep then evaluates one triple per permutation orbit and reads
-[x, w] for a reached x off the row of w; on any other table it sweeps all
-n^3 triples.  Counts use int arithmetic only.  The named suites reproduce
-the annihilator facts that drive globalization: annihilators of single odd
-generators, of even-plus-odd probe elements, and of mixed even elements,
-each with an exact predicted basis or dimension, written in the surface
-grammar of ``expr`` as the paper states them.
+distinguished outer derivation of sw22.  The first two count exactly, in int
+arithmetic on ints 12 times the true structure constants.
+``antisymmetry_sweep`` merges each window pair straight from
+``bracket_terms``, and only ``jacobi_sweep`` builds the table: it evaluates
+one triple per permutation orbit once ``_window_table`` has proved the table
+its own graded mirror, and all n^3 triples otherwise.  The named suites
+reproduce the annihilator facts that drive globalization: annihilators of
+single odd generators, of even-plus-odd probe elements, and of mixed even
+elements, each with an exact predicted basis or dimension, written in the
+surface grammar of ``expr`` as the paper states them.
 """
 
 from __future__ import annotations
@@ -28,18 +26,19 @@ from .expr import fraction_json, parse_derivation, parse_element
 
 
 def _window_table(family: AlgebraFamily, bound):
-    """The structure constants the window sweeps need, as one table.
+    """The table of structure constants that ``jacobi_sweep`` reads.
 
-    Reads each unordered pair once through ``bracket_terms``, in both orders:
-    every pair of window vectors, then each window vector against every
-    vector x those brackets reach; vectors get int ids in the order reached,
-    window vectors first.  Returns ``(n, parities, rows, mirrored)``: the
-    window size n, ``parities[i]`` of each numbered vector i, ``rows[a][b]`` =
-    the bracket of a window vector a and any b as ((id, constant), ...), and
-    whether every pair read had [v,u] = -(-1)^{|u||v|} [u,v] term by term, each
-    term of parity |u| xor |v|.  If not, ``rows[x][w]`` also holds [x,w] for
-    each reached x and window vector w; vectors further out get no rows.  The
-    constants are 12 times the true ones, so the violation counts are exact.
+    ``antisymmetry_sweep`` merges each window pair straight from
+    ``bracket_terms``, and only ``jacobi_sweep`` builds the table.  Each
+    unordered pair is read once, in both orders: every pair of window
+    vectors, then each window vector against every vector x those brackets
+    reach, numbered in the order reached after the window.  Returns ``(n,
+    parities, rows, mirrored)``: the window size n, ``parities[i]`` of each
+    vector i, ``rows[a][b]`` = [a, b] for a window vector a as ((id, c), ...)
+    with c 12 times the true constant, and whether every pair read had [v,u]
+    = -(-1)^{|u||v|} [u,v] term by term, each term of parity |u| xor |v|.  If
+    not, ``rows[x][w]`` also holds [x,w] for each reached x and window vector
+    w; vectors further out get no rows.
     """
     window = GradedWindow(bound).basis_vectors(family)
     n, ids = len(window), {vec: i for i, vec in enumerate(window)}
@@ -77,17 +76,18 @@ def _window_table(family: AlgebraFamily, bound):
 
 def antisymmetry_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:
     """Count violations of [u,v] = -(-1)^{|u||v|} [v,u] over basis pairs."""
-    n, parities, rows, _ = _window_table(family, bound)
+    window = GradedWindow(bound).basis_vectors(family)
     violations = 0
-    for u in range(n):
-        for v in range(n):
+    for u in window:
+        for v in window:
             # [u,v] + (-1)^{|u||v|} [v,u] must vanish once merged.
-            sign = -1 if (parities[u] and parities[v]) else 1
+            sign = -1 if (u.parity and v.parity) else 1
             acc = {}
-            for y, c in rows[u][v] + tuple((y, sign * c) for y, c in rows[v][u]):
-                acc[y] = acc.get(y, 0) + c
+            for s, terms in ((1, bracket_terms(u, v)), (sign, bracket_terms(v, u))):
+                for w, c in terms:
+                    acc[w] = acc.get(w, 0) + s * c
             violations += any(acc.values())
-    return violations, n * n
+    return violations, len(window) ** 2
 
 
 def jacobi_sweep(family: AlgebraFamily, bound) -> Tuple[int, int]:

@@ -1,4 +1,10 @@
-"""Independent re-derivations used to cross-check the package.
+"""Independent re-derivations used to cross-check the package, and the
+fixtures the test modules share.
+
+``F`` and the four family names abbreviate ``Fraction`` and
+``AlgebraFamily``; ``bv`` and ``el`` build a basis vector and an element from
+(kind, index, coefficient) triples; ``assert_canonical`` checks that an
+element is what the checking ``Element`` constructor makes of its terms.
 
 The package eliminates fraction-free over primitive integer rows; the dense
 helpers here are a deliberately different textbook Gauss-Jordan over
@@ -37,6 +43,7 @@ query; the oracle keeps its first argument's part of the text between queries.
 """
 
 import hashlib
+import math
 from fractions import Fraction
 
 from superder import (
@@ -52,6 +59,33 @@ from superder import algebra
 from superder.derivations import _combination
 from superder.linalg import LabeledMatrix, kernel_basis
 from superder.annihilator import _mask_base, _pair_mask
+
+F = Fraction
+VIR = AlgebraFamily.VIR
+SVIR0 = AlgebraFamily.SVIR0
+SVIR12 = AlgebraFamily.SVIR12
+SW22 = AlgebraFamily.SW22
+
+
+def bv(family, kind, index=0):
+    return BasisVector(family, kind, F(index))
+
+
+def el(family, *terms):
+    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
+
+
+def assert_canonical(value):
+    """``value`` is exactly what the checking constructor makes of its terms:
+    nonzero reduced Fraction coefficients, in canonical term order."""
+    rebuilt = Element(value.family, list(value.terms.items()))
+    assert value == rebuilt
+    assert hash(value) == hash(rebuilt)
+    assert list(value.terms) == list(rebuilt.terms)
+    assert list(value.terms) == sorted(value.terms)
+    for c in value.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
 def dense_rref(rows):

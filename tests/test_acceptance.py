@@ -7,13 +7,10 @@ exact; there are no tolerances anywhere.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
 from superder import (
-    AlgebraFamily,
-    BasisVector,
     Element,
     GradedWindow,
     SuperDerivation,
@@ -32,13 +29,8 @@ from superder import (
 from superder.algebra import KIND_G, KIND_I, KIND_L, KIND_Q
 from superder.two_local import ADVERSARIAL_KINDS
 
-from helpers import dense_nullspace, labeled_dense
+from helpers import F, SVIR0, SVIR12, SW22, VIR, bv, dense_nullspace, el, labeled_dense
 
-F = Fraction
-VIR = AlgebraFamily.VIR
-SVIR0 = AlgebraFamily.SVIR0
-SVIR12 = AlgebraFamily.SVIR12
-SW22 = AlgebraFamily.SW22
 ALL_FAMILIES = (VIR, SVIR0, SVIR12, SW22)
 ANCHORED_FAMILIES = (SVIR0, SVIR12, SW22)
 
@@ -52,14 +44,6 @@ def report(capsys):
             print("%s %s" % ("PASS" if ok else "FAIL", label))
         assert ok, label
     return _report
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
 
 
 def random_generator(family, seed):

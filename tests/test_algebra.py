@@ -44,21 +44,19 @@ from superder.algebra import (
 from superder.lemmas import _window_table
 
 import strategies as sg
-from helpers import reference_antisymmetry_sweep, reference_bracket, reference_jacobi_sweep
-
-F = Fraction
-VIR = AlgebraFamily.VIR
-SVIR0 = AlgebraFamily.SVIR0
-SVIR12 = AlgebraFamily.SVIR12
-SW22 = AlgebraFamily.SW22
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
+from helpers import (
+    F,
+    SVIR0,
+    SVIR12,
+    SW22,
+    VIR,
+    assert_canonical,
+    bv,
+    el,
+    reference_antisymmetry_sweep,
+    reference_bracket,
+    reference_jacobi_sweep,
+)
 
 
 class TestBasisVector:
@@ -286,17 +284,6 @@ class TestElement:
         assert -x + x == Element.zero(SVIR0)
 
 
-def _assert_canonical(value):
-    """``value`` is exactly what the checking constructor makes of its terms."""
-    rebuilt = Element(value.family, list(value.terms.items()))
-    assert value == rebuilt
-    assert hash(value) == hash(rebuilt)
-    assert list(value.terms) == list(rebuilt.terms)
-    for c in value.terms.values():
-        assert type(c) is Fraction and c != 0
-        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
-
-
 class TestCanonicalConstructor:
     """Results built from terms that are already canonical, without the
     checks of ``Element.__init__``, equal what those checks would give."""
@@ -312,7 +299,7 @@ class TestCanonicalConstructor:
         u = data.draw(sg.basis_vectors(family), label="u")
         for value in (bracket(x, y), -x, k * x, x * k, outer_action(x),
                       Element.basis(u, k)):
-            _assert_canonical(value)
+            assert_canonical(value)
 
 
 class TestBracketTable:
@@ -518,6 +505,21 @@ class TestSweepsDetectViolations:
     def test_one_sided_change_breaks_antisymmetry(self, monkeypatch):
         _scale_bracket(monkeypatch, {(self.L1, self.G0)}, 2)
         assert antisymmetry_sweep(SVIR0, 2) == (2, 121)
+
+    @pytest.mark.parametrize("family, bound", [(SVIR0, 4), (SW22, 2)],
+                             ids=lambda value: getattr(value, "value", str(value)))
+    def test_antisymmetry_reads_only_window_pairs(self, monkeypatch, family, bound):
+        """Antisymmetry is a law of window pairs alone: the sweep brackets
+        every window vector and no vector that a window bracket reaches."""
+        seen = set()
+
+        def recording(u, v):
+            seen.update((u, v))
+            return bracket_terms(u, v)
+
+        _rebind_bracket(monkeypatch, recording)
+        antisymmetry_sweep(family, bound)
+        assert seen == set(GradedWindow(bound).basis_vectors(family))
 
     def test_one_sided_change_on_a_reached_row(self, monkeypatch):
         """[L3, G0] is read only as a window vector against a reached one,

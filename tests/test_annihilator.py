@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from superder import (
     OUTER_TAG,
-    AlgebraFamily,
     BasisVector,
     DerivationSpace,
     Element,
@@ -19,33 +18,30 @@ from superder import (
     annihilator_basis,
     derivation_coords,
     evaluation_matrix,
+    parse_derivation,
+    parse_element,
     span_contains,
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_C2, KIND_G, KIND_I, KIND_L, KIND_Q
 from superder.annihilator import _image_rows
+from superder.cli import run_command
 from superder.linalg import kernel_basis
 
 from helpers import (
+    F,
+    SVIR0,
+    SVIR12,
+    SW22,
+    VIR,
     assert_reduced_echelon,
+    bv,
     dense_nullspace,
     dense_rank,
+    el,
     labeled_dense,
     reference_bracket,
 )
 import strategies as sg
-
-F = Fraction
-SVIR0 = AlgebraFamily.SVIR0
-SVIR12 = AlgebraFamily.SVIR12
-SW22 = AlgebraFamily.SW22
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
 
 
 class TestGradedWindow:
@@ -378,3 +374,75 @@ class TestCoordsAndSpan:
         space = annihilator_basis(el(SVIR0, (KIND_G, 2, 1)), GradedWindow(F(6)))
         assert space.contains(SuperDerivation.ad(el(SVIR0, (KIND_L, 4, -7))))
         assert not space.contains(SuperDerivation.ad(el(SVIR0, (KIND_L, 0, 1))))
+
+
+def _window_space(family, target, bound):
+    """The window solve's annihilator of ``target``, an element or its text."""
+    if isinstance(target, str):
+        target = parse_element(target, family)
+    return annihilator_basis(target, GradedWindow(F(bound)))
+
+
+def _derivations(family, *texts):
+    return tuple(parse_derivation(t, family) for t in texts)
+
+
+class TestWindowSolvesOfNamedTargets:
+    """Annihilators of named targets, pinned at today's window solve.
+
+    A homogeneous target with a finite J has the same basis at every bound
+    from J on, and for J > 0 a smaller one at J - 1/2.  A target with no J
+    gains dimension with every unit of bound.  In svir0, L[0] + b*G[0] is
+    killed by ad(L[0]), and also by ad(L[b^2] - (b/2)*G[b^2]) when b^2 is an
+    integer, so its J grows like b^2, past the default bound.
+    """
+
+    @pytest.mark.parametrize("family, target, j, expected", [
+        (SVIR0, "G[3]", 6, ("ad(L[6])",)),
+        (SVIR0, "L[-4]", 4, ("ad(L[-4])", "ad(G[-2])")),
+        (SVIR0, "L[0]", 0, ("ad(L[0])", "ad(G[0])")),
+        (SVIR12, "G[5/2]", 5, None),
+        (VIR, "L[3]", 3, None),
+        (SW22, "G[2]", 4, ("ad(L[4])", "ad(I[4])", "D")),
+    ], ids=lambda value: getattr(value, "value", str(value)))
+    def test_the_basis_settles_at_j(self, family, target, j, expected):
+        basis = _window_space(family, target, j).basis
+        if expected is not None:
+            assert basis == _derivations(family, *expected)
+        for step in (F(1, 2), 1, 2, 4):
+            assert _window_space(family, target, j + step).basis == basis
+        if j > 0:
+            assert _window_space(family, target, j - F(1, 2)).dimension < len(basis)
+
+    @pytest.mark.parametrize("family, target, dims", [
+        (SVIR0, "C", (10, 14, 18, 22)),
+        (SW22, "I[0]", (12, 16, 20, 24)),
+        (SW22, "I[0] + Q[0]", (12, 16, 20, 24)),
+    ], ids=lambda value: getattr(value, "value", str(value)))
+    def test_targets_with_no_j_grow_with_the_bound(self, family, target, dims):
+        assert tuple(_window_space(family, target, w).dimension for w in (2, 3, 4, 5)) == dims
+
+    @pytest.mark.parametrize("b, member", [
+        (F(1), "ad(L[1] - 1/2*G[1])"),
+        (F(2), "ad(L[4] - G[4])"),
+        (F(3), "ad(L[9] - 3/2*G[9])"),
+        (F(-2), "ad(L[4] + G[4])"),
+        (F(1, 2), None),
+        (F(3, 2), None),
+        (F(4, 3), None),
+    ], ids=str)
+    def test_l0_plus_b_g0(self, b, member):
+        target = el(SVIR0, (KIND_L, 0, 1), (KIND_G, 0, b))
+        expected = ("ad(L[0])",) + ((member,) if member else ())
+        assert _window_space(SVIR0, target, max(b * b, 2) + 2).basis \
+            == _derivations(SVIR0, *expected)
+
+    def test_l0_plus_10_g0_at_j(self):
+        assert _window_space(SVIR0, "L[0] + 10*G[0]", 100).basis \
+            == _derivations(SVIR0, "ad(L[0])", "ad(L[100] - 5*G[100])")
+
+    @pytest.mark.xfail(strict=True, reason="annihilate's default bound, 2 * largest "
+                       "|index| + 2, is 2 here, far below J = 100")
+    def test_the_default_bound_finds_the_member_at_j(self, capsys):
+        assert run_command(["annihilate", "--algebra", "svir0", "L[0] + 10*G[0]"]) == 0
+        assert capsys.readouterr().out == "dimension 2\nad(L[0])\nad(L[100] - 5*G[100])\n"

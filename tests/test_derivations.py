@@ -1,6 +1,5 @@
 """Normal-form derivations, the raw-map escape hatch, and Leibniz defects."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from superder import (
     OUTER_TAG,
     AlgebraFamily,
-    BasisVector,
     Element,
     FamilyMismatchError,
     RawLinearMap,
@@ -31,20 +29,18 @@ from superder.algebra import (
 from superder.derivations import _combination, has_outer
 
 import strategies as sg
-from helpers import reference_bracket, reference_combination, reference_leibniz_defect
-
-F = Fraction
-VIR = AlgebraFamily.VIR
-SVIR0 = AlgebraFamily.SVIR0
-SW22 = AlgebraFamily.SW22
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
+from helpers import (
+    F,
+    SVIR0,
+    SW22,
+    VIR,
+    assert_canonical,
+    bv,
+    el,
+    reference_bracket,
+    reference_combination,
+    reference_leibniz_defect,
+)
 
 
 def outer(family=SW22, lam=1):
@@ -287,14 +283,6 @@ def mixed_maps(family):
     raw = st.dictionaries(sg.basis_vectors(family, 1), mixed_elements(family, 1),
                           max_size=4).map(lambda t: RawLinearMap(family, t))
     return st.one_of(derivations, raw)
-
-
-def assert_canonical(z):
-    """Nonzero reduced Fraction coefficients, in canonical term order."""
-    assert list(z.terms) == sorted(z.terms)
-    for c in z.terms.values():
-        assert type(c) is Fraction and c != 0
-        assert c.denominator > 0 and math.gcd(c.numerator, c.denominator) == 1
 
 
 class TestPairAccumulator:

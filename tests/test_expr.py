@@ -3,14 +3,12 @@
 import contextlib
 import io
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from superder import (
-    AlgebraFamily,
     BasisVector,
     Element,
     IndexNotInSectorError,
@@ -27,21 +25,17 @@ from superder.cli import run_command
 from superder.expr import MAX_DIGITS, parse_integer, parse_rational
 
 import strategies as sg
-from helpers import reference_format_derivation, reference_format_element
-
-F = Fraction
-VIR = AlgebraFamily.VIR
-SVIR0 = AlgebraFamily.SVIR0
-SVIR12 = AlgebraFamily.SVIR12
-SW22 = AlgebraFamily.SW22
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
+from helpers import (
+    F,
+    SVIR0,
+    SVIR12,
+    SW22,
+    VIR,
+    bv,
+    el,
+    reference_format_derivation,
+    reference_format_element,
+)
 
 
 class TestParseElement:

@@ -1,7 +1,6 @@
 """Kernel and canonical-form behaviour of the exact sparse solver."""
 
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -12,9 +11,7 @@ from superder.annihilator import GradedWindow, evaluation_matrix
 from superder.expr import parse_element
 from superder.linalg import LabeledMatrix, kernel_basis
 
-from helpers import assert_reduced_echelon, dense_nullspace, dense_rank, labeled_dense, matvec
-
-F = Fraction
+from helpers import F, assert_reduced_echelon, dense_nullspace, dense_rank, labeled_dense, matvec
 
 
 def mat(rows, ncols=None):

@@ -17,7 +17,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from superder.algebra import AlgebraFamily, BasisVector, Element, FamilyMismatchError
+from superder.algebra import BasisVector, Element, FamilyMismatchError
 from superder.annihilator import DerivationSpace, GradedWindow
 from superder.derivations import RawLinearMap, SuperDerivation
 from superder.linalg import LabeledMatrix
@@ -30,8 +30,8 @@ from superder.two_local import (
     TwoLocalOracle,
 )
 
-SW22 = AlgebraFamily.SW22
-VIR = AlgebraFamily.VIR
+from helpers import SW22, VIR
+
 L1 = BasisVector(SW22, "L", 1)
 X = Element(SW22, {BasisVector(SW22, "G", 1): 1, BasisVector(SW22, "I", 0): Fraction(1, 2)})
 Y = Element(SW22, {L1: -2})

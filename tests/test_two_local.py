@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 
 from superder import (
     ADVERSARIAL_KINDS,
-    AlgebraFamily,
-    BasisVector,
     Element,
     GradedWindow,
     OracleAnswer,
@@ -36,6 +34,13 @@ from superder.annihilator import _image_rows
 from superder.two_local import MAX_RANDOM_TESTS, _MASK_COEFFS, _scalar_ratio
 
 from helpers import (
+    F,
+    SVIR0,
+    SVIR12,
+    SW22,
+    VIR,
+    bv,
+    el,
     pair_mask_basis,
     reference_combination,
     reference_mask_basis,
@@ -43,20 +48,6 @@ from helpers import (
     reference_pair_seed,
 )
 import strategies as sg
-
-F = Fraction
-VIR = AlgebraFamily.VIR
-SVIR0 = AlgebraFamily.SVIR0
-SVIR12 = AlgebraFamily.SVIR12
-SW22 = AlgebraFamily.SW22
-
-
-def bv(family, kind, index=0):
-    return BasisVector(family, kind, F(index))
-
-
-def el(family, *terms):
-    return Element(family, tuple((bv(family, k, i), F(c)) for k, i, c in terms))
 
 
 def small_test_set(seed=0):
