@@ -1,7 +1,7 @@
 """Exact graded brackets for the super Virasoro and super W(2,2) algebras.
 
-Four algebra families are supported, each with exact rational structure
-constants:
+Four algebra families are supported, each one ``AlgebraFamily`` row with
+exact rational structure constants:
 
 * ``vir``    - the Virasoro algebra, spanned by L_m (m integral) and a
   central charge C.
@@ -49,6 +49,8 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(KIND_ORDER)}
 
 CENTRAL_KINDS = frozenset((KIND_C, KIND_C1, KIND_C2))
 ODD_KINDS = frozenset((KIND_G, KIND_Q))
+# The kinds that D fixes; a family has D exactly where it has one of them.
+FIXED_KINDS = frozenset((KIND_I, KIND_Q, KIND_C2))
 _CENTRAL_RANKS = frozenset(_KIND_RANK[k] for k in CENTRAL_KINDS)
 _ODD_RANKS = frozenset(_KIND_RANK[k] for k in ODD_KINDS)
 
@@ -116,22 +118,24 @@ class _Record:
 
 
 class AlgebraFamily(Enum):
-    VIR = "vir"
-    SVIR0 = "svir0"
-    SVIR12 = "svir12"
-    SW22 = "sw22"
+    """One row per family: tag, kinds (centrals last), half-odd kinds, anchors."""
 
-    @property
-    def kinds(self) -> Tuple[str, ...]:
-        return _FAMILY_KINDS[self]
+    VIR = ("vir", (KIND_L, KIND_C), (), ("L[1]", "L[2]", None))
+    SVIR0 = ("svir0", (KIND_L, KIND_G, KIND_C), (), ("G[0]", "G[1]", None))
+    SVIR12 = ("svir12", (KIND_L, KIND_G, KIND_C), (KIND_G,), ("G[1/2]", "G[3/2]", None))
+    SW22 = ("sw22", (KIND_L, KIND_G, KIND_I, KIND_Q, KIND_C1, KIND_C2), (),
+            ("G[0]", "G[1]", "I[0] + Q[0]"))
 
-    @property
-    def noncentral_kinds(self) -> Tuple[str, ...]:
-        return tuple(k for k in _FAMILY_KINDS[self] if k not in CENTRAL_KINDS)
-
-    @property
-    def central_kinds(self) -> Tuple[str, ...]:
-        return tuple(k for k in _FAMILY_KINDS[self] if k in CENTRAL_KINDS)
+    def __new__(cls, tag, kinds, half_odd_kinds, anchors):
+        member = object.__new__(cls)
+        member._value_ = tag
+        member.kinds = kinds
+        member.noncentral_kinds = tuple(k for k in kinds if k not in CENTRAL_KINDS)
+        member.central_kinds = kinds[len(member.noncentral_kinds):]
+        member.half_odd_kinds = half_odd_kinds
+        member.has_outer = not FIXED_KINDS.isdisjoint(kinds)
+        member.anchors = anchors
+        return member
 
     @classmethod
     def from_tag(cls, tag: str) -> "AlgebraFamily":
@@ -142,12 +146,6 @@ class AlgebraFamily(Enum):
                          % (tag, ", ".join(f.value for f in cls)))
 
 
-_FAMILY_KINDS = {
-    AlgebraFamily.VIR: (KIND_L, KIND_C),
-    AlgebraFamily.SVIR0: (KIND_L, KIND_G, KIND_C),
-    AlgebraFamily.SVIR12: (KIND_L, KIND_G, KIND_C),
-    AlgebraFamily.SW22: (KIND_L, KIND_G, KIND_I, KIND_Q, KIND_C1, KIND_C2),
-}
 _FAMILIES = tuple(AlgebraFamily)
 _FAMILY_RANK = {family: rank for rank, family in enumerate(_FAMILIES)}
 
@@ -162,9 +160,9 @@ def exact(value: Scalar) -> Fraction:
 
 def sector_denominator(family: AlgebraFamily, kind: str) -> int:
     """The legal indices of a non-central kind are the rationals whose lowest
-    terms have exactly this denominator: 2 (half-odd integers) for the odd
-    generators of svir12, 1 (integers) everywhere else."""
-    return 2 if kind == KIND_G and family is AlgebraFamily.SVIR12 else 1
+    terms have exactly this denominator: 2 (half-odd integers) for the
+    family's half-odd kinds (svir12's G), 1 (integers) everywhere else."""
+    return 2 if kind in family.half_odd_kinds else 1
 
 
 class BasisVector(tuple):
@@ -266,6 +264,10 @@ class Element:
         self.family = family
         self.terms = terms
         return self
+
+    def __reduce__(self):
+        # Unpickled terms come from outside the program, so the constructor checks them.
+        return Element, (self.family, self.terms)
 
     # -- construction helpers ------------------------------------------------
 

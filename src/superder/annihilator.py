@@ -43,7 +43,7 @@ from .algebra import (
     exact,
     sector_denominator,
 )
-from .derivations import _FIXED_RANKS, OUTER_TAG, SuperDerivation, has_outer
+from .derivations import _FIXED_RANKS, OUTER_TAG, SuperDerivation
 from .linalg import LabeledMatrix, _kernel, kernel_basis
 
 
@@ -77,7 +77,7 @@ class GradedWindow(_Record):
     def directions(self, family: AlgebraFamily) -> Tuple[Hashable, ...]:
         """Coordinate order of window derivations: the generators, then the
         outer tag where the family has the outer direction."""
-        return self.generators(family) + ((OUTER_TAG,) if has_outer(family) else ())
+        return self.generators(family) + ((OUTER_TAG,) if family.has_outer else ())
 
     def basis_vectors(self, family: AlgebraFamily) -> Tuple[BasisVector, ...]:
         """All basis vectors inside the window, central charges last."""

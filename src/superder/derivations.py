@@ -21,9 +21,7 @@ from itertools import chain
 from typing import Dict, Hashable, Iterable, Mapping, Tuple, Union
 
 from .algebra import (
-    KIND_C2,
-    KIND_I,
-    KIND_Q,
+    FIXED_KINDS,
     AlgebraFamily,
     BasisVector,
     Element,
@@ -34,22 +32,17 @@ from .algebra import (
     exact,
 )
 
-_FIXED_RANKS = frozenset(_KIND_RANK[k] for k in (KIND_I, KIND_Q, KIND_C2))
+_FIXED_RANKS = frozenset(_KIND_RANK[k] for k in FIXED_KINDS)
 
 # Coordinate tag of the outer derivation direction D.
 OUTER_TAG = "D"
 
 
-def has_outer(family: AlgebraFamily) -> bool:
-    """Whether the family has the outer derivation direction D (sw22 only)."""
-    return family is AlgebraFamily.SW22
-
-
 def outer_action(x: Element) -> Element:
     """Action of the distinguished outer derivation on an element.
 
-    Fixes I_m, Q_r and C2 and kills everything else.  Only sw22 has those
-    kinds, so for the other families the result is zero.
+    Fixes the kinds of ``algebra.FIXED_KINDS`` (I_m, Q_r, C2) and kills the
+    rest.  Only sw22 has those kinds, so elsewhere the result is zero.
     """
     return Element._canonical(x.family, {b: c for b, c in x.terms.items()
                                          if b[0] in _FIXED_RANKS})
@@ -69,7 +62,7 @@ class SuperDerivation(_Record):
         if inner.family is not family:
             raise FamilyMismatchError("inner element belongs to a different family")
         lam = outer_lambda if type(outer_lambda) is Fraction else exact(outer_lambda)
-        if lam != 0 and not has_outer(family):
+        if lam != 0 and not family.has_outer:
             raise ValueError("only the sw22 family has an outer derivation direction")
         if any(b.is_central for b in inner.terms):
             inner = Element(family, ((b, c) for b, c in inner.terms.items()

@@ -2,7 +2,7 @@
 
 Element grammar (whitespace may separate tokens):
 
-    expr     := ['+'|'-'] term (('+'|'-') term)*
+    expr     := ['+'|'-'] term (('+'|'-') term)*   (at most MAX_TERMS terms)
     term     := [rational '*'] gen
     gen      := ('L'|'G'|'I'|'Q') '[' index ']' | 'C' | 'C1' | 'C2'
     rational := ['-'] digits ['/' digits]
@@ -38,7 +38,7 @@ from .algebra import (
     KindNotInFamilyError,
     PositionedError,
 )
-from .derivations import SuperDerivation, has_outer
+from .derivations import SuperDerivation
 
 
 class ParseError(PositionedError):
@@ -52,6 +52,10 @@ _DIGITS = frozenset("0123456789")
 # the interpreter's limit on converting long digit strings to int, so an
 # over-long number is a parse error with a position.
 MAX_DIGITS = 1000
+
+# Most terms one element may have: a bracket costs the product of its operands'
+# term counts, so a longer element is a parse error at the term past the cap.
+MAX_TERMS = 128
 
 
 class _Scanner:
@@ -200,6 +204,9 @@ def _parse_expr(s: _Scanner, family: AlgebraFamily, closer: str = "") -> Element
     terms = []
     op = s.take() if s.peek() in ("+", "-") else "+"
     while True:
+        if len(terms) == MAX_TERMS:
+            s.skip_ws()
+            raise ParseError("more than %d terms" % MAX_TERMS, s.pos)
         c = _parse_coefficient(s)  # term := [rational '*'] gen
         terms.append((_parse_gen(s, family), c if op == "+" else -c))
         if done():
@@ -247,7 +254,7 @@ def format_derivation(d: SuperDerivation) -> str:
 def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction:
     """``[rational '*'] 'D'`` up to the end of the input, times ``sign``."""
     s.skip_ws()
-    if not has_outer(family):
+    if not family.has_outer:
         raise KindNotInFamilyError(
             "the outer derivation direction exists only in family sw22", s.pos)
     coeff = _parse_coefficient(s)

@@ -8,14 +8,15 @@ reconstructs, when possible, one single superderivation that matches the
 oracle's assignment everywhere, and it always returns a certificate with
 per-element evidence.
 
-The algorithm queries a family-specific pair of anchor elements whose window
-annihilators meet trivially (in sw22 only in the outer direction D), so the
-response determines the inner part of the answer.  For the sw22 family one
-extra even element recovers the outer coefficient through an exact residual
-proportionality test.  Each test element is then checked against a fresh
-query, so dishonest oracles fail with a concrete witness.  An honest oracle
-combines its random mask in coordinates over its first argument's
-``annihilator._mask_base``, which it keeps, with d there, for the next query.
+The algorithm queries the two anchor elements of the family's
+``AlgebraFamily`` row, whose window annihilators meet trivially (in sw22
+only in the outer direction D), so the response determines the inner part
+of the answer.  For the sw22 family the row's even probe recovers the outer
+coefficient through an exact residual proportionality test.  Each test
+element is then checked against a fresh query, so dishonest oracles fail
+with a concrete witness.  An honest oracle combines its random mask in
+coordinates over its first argument's ``annihilator._mask_base``, which it
+keeps, with d there, for the next query.
 """
 
 from __future__ import annotations
@@ -159,22 +160,13 @@ class Certificate(_Record):
 
 # -- anchors -------------------------------------------------------------------
 
-# Per family: two anchors whose window annihilators meet trivially (in sw22
-# only in the outer direction D), and the even probe that exposes the outer
-# coefficient where D exists.
-_ANCHORS = {
-    AlgebraFamily.VIR: ("L[1]", "L[2]", None),
-    AlgebraFamily.SVIR0: ("G[0]", "G[1]", None),
-    AlgebraFamily.SVIR12: ("G[1/2]", "G[3/2]", None),
-    AlgebraFamily.SW22: ("G[0]", "G[1]", "I[0] + Q[0]"),
-}
-
-
 @lru_cache(maxsize=None)
 def anchor_pair(family: AlgebraFamily) -> Tuple[Element, Element, Optional[Element]]:
-    """The family's anchors (a1, a2, probe), parsed from ``_ANCHORS``."""
+    """The family's anchors (a1, a2, probe), parsed from ``family.anchors``: two
+    anchors whose window annihilators meet trivially (in sw22 only in D), and
+    the even probe that exposes the outer coefficient where D exists."""
     return tuple(None if src is None else parse_element(src, family)
-                 for src in _ANCHORS[family])
+                 for src in family.anchors)
 
 
 # -- globalization ---------------------------------------------------------------

@@ -20,6 +20,7 @@ from superder import (
     IndexNotInSectorError,
     KindNotInFamilyError,
     SuperDerivation,
+    anchor_pair,
     antisymmetry_sweep,
     bracket,
     bracket_terms,
@@ -28,6 +29,7 @@ from superder import (
     make_honest_oracle,
     outer_action,
     outer_derivation_defect_sweep,
+    parse_element,
 )
 from superder.algebra import (
     CENTRAL_KINDS,
@@ -39,6 +41,7 @@ from superder.algebra import (
     KIND_L,
     KIND_ORDER,
     KIND_Q,
+    ODD_KINDS,
     _reduced,
 )
 from superder.lemmas import _window_table
@@ -57,6 +60,51 @@ from helpers import (
     reference_bracket,
     reference_jacobi_sweep,
 )
+
+
+# The tests' own statement of each family's towers and centrals.  Which
+# families have odd kinds, and which kinds have half-odd indices, is read
+# from ``strategies``, which states the sectors apart from the package.
+TOWERS_AND_CENTRALS = {
+    VIR: ((KIND_L,), (KIND_C,)),
+    SVIR0: ((KIND_L, KIND_G), (KIND_C,)),
+    SVIR12: ((KIND_L, KIND_G), (KIND_C,)),
+    SW22: ((KIND_L, KIND_G, KIND_I, KIND_Q), (KIND_C1, KIND_C2)),
+}
+
+
+@pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
+class TestFamilyTable:
+    """Each ``AlgebraFamily`` row against the tests' statement of the sectors."""
+
+    def test_kinds_with_the_centrals_last(self, family):
+        towers, centrals = TOWERS_AND_CENTRALS[family]
+        assert family.kinds == towers + centrals
+        assert family.noncentral_kinds == towers
+        assert family.central_kinds == centrals
+        assert (not ODD_KINDS.isdisjoint(family.kinds)) == (family in sg.SUPER_FAMILIES)
+
+    def test_half_odd_kinds_are_svir12s_g(self, family):
+        assert family.half_odd_kinds == ((KIND_G,) if family is SVIR12 else ())
+        for kind in family.noncentral_kinds:
+            indices = sg.index_values(family, kind)
+            assert all(i.denominator == 2 for i in indices) == (kind in family.half_odd_kinds)
+            assert all(i.denominator == 1 for i in indices) == (kind not in family.half_odd_kinds)
+
+    def test_outer_direction_in_sw22_alone(self, family):
+        assert family.has_outer is (family is SW22)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_tag_and_pickle_give_the_member(self, family, protocol):
+        assert AlgebraFamily(family.value) is family
+        assert AlgebraFamily.from_tag(family.value) is family
+        assert pickle.loads(pickle.dumps(family, protocol)) is family
+
+    def test_anchor_pair_parses_the_row(self, family):
+        a1, a2, probe = family.anchors
+        assert anchor_pair(family) == (parse_element(a1, family), parse_element(a2, family),
+                                       None if probe is None else parse_element(probe, family))
+        assert (probe is not None) is family.has_outer
 
 
 class TestBasisVector:

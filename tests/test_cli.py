@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from superder import cli
-from superder.algebra import KIND_L, BasisVector, Element
+from superder.algebra import KIND_L, BasisVector, Element, bracket_terms
 from superder.annihilator import GradedWindow
 from superder.cli import (
     ENV_SEED,
@@ -22,7 +22,7 @@ from superder.cli import (
     _load_config,
     run_command,
 )
-from superder.expr import MAX_DIGITS
+from superder.expr import MAX_DIGITS, MAX_TERMS
 from superder.lemmas import LEMMA_NAMES, run_lemma
 from superder.two_local import MAX_RANDOM_TESTS, TestSet, TwoLocalOracle
 
@@ -253,6 +253,12 @@ class TestConfig:
         assert from_config == explicit
 
 
+def _vir_terms(count):
+    """``count`` distinct vir terms joined by " + ", and where the last starts."""
+    terms = ["L[%d]" % i for i in range(count)]
+    return " + ".join(terms), sum(len(t) + 3 for t in terms[:-1])
+
+
 class TestErrors:
     def test_parse_error_json_diagnostic(self, capsys):
         code, out, _ = run(capsys, "bracket", "--json", "L[2", "L[0]")
@@ -422,6 +428,47 @@ class TestErrors:
         assert error["type"] == "ParseError"
         assert error["position"] == position
         assert "set_int_max_str_digits" not in error["message"]
+
+    @pytest.mark.parametrize("argv, offset", [
+        (["bracket", "{}", "L[0]"], 0),
+        (["bracket", "L[0]", "{}"], 0),
+        (["annihilate", "{}"], 0),
+        (["defect", "ad({})", "L[1]", "L[2]"], 3),
+        (["globalize", "--oracle", "honest:ad({})"], 3),
+    ])
+    def test_terms_past_the_cap(self, capsys, argv, offset):
+        text, start = _vir_terms(MAX_TERMS + 1)
+        argv = [a.format(text) for a in argv]
+        code, out, err = run(capsys, *argv, "--json")
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["type"] == "ParseError"
+        assert error["position"] == offset + start
+        assert error["message"] == "more than %d terms (at position %d)" % (
+            MAX_TERMS, offset + start)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert_parse_error_line(err, offset + start)
+
+    def test_over_cap_bracket_never_reads_the_table(self, capsys, monkeypatch):
+        calls = []
+
+        def recorder(u, v):
+            calls.append((u, v))
+            return bracket_terms(u, v)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "superder" \
+                    and getattr(module, "bracket_terms", None) is bracket_terms:
+                monkeypatch.setattr(module, "bracket_terms", recorder)
+        at_cap, _ = _vir_terms(MAX_TERMS)
+        assert run(capsys, "bracket", at_cap, at_cap)[0] == 0
+        assert len(calls) == MAX_TERMS ** 2
+        calls.clear()
+        over, _ = _vir_terms(MAX_TERMS + 1)
+        assert run(capsys, "bracket", over, over)[0] == 2
+        assert calls == []
 
     @pytest.mark.parametrize("value", [" 1_0 ", "\u0663", "ten"])
     def test_seed_variable_follows_the_integer_rule(self, capsys, monkeypatch, value):

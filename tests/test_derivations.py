@@ -26,7 +26,7 @@ from superder.algebra import (
     KIND_L,
     KIND_Q,
 )
-from superder.derivations import _combination, has_outer
+from superder.derivations import _combination
 
 import strategies as sg
 from helpers import (
@@ -162,10 +162,10 @@ class TestCoords:
 
     def test_outer_coordinate_rejected_outside_sw22(self):
         for family in (VIR, SVIR0, AlgebraFamily.SVIR12):
-            assert not has_outer(family)
+            assert not family.has_outer
             with pytest.raises(ValueError):
                 SuperDerivation.from_coords(family, {OUTER_TAG: 1})
-        assert has_outer(SW22)
+        assert SW22.has_outer
 
     @given(data=st.data())
     def test_round_trip(self, data):
@@ -278,7 +278,7 @@ def mixed_elements(family, bound=2):
 
 def mixed_maps(family):
     derivations = st.builds(
-        lambda e, lam: SuperDerivation(family, e, lam if has_outer(family) else 0),
+        lambda e, lam: SuperDerivation(family, e, lam if family.has_outer else 0),
         mixed_elements(family), st.sampled_from(MIXED))
     raw = st.dictionaries(sg.basis_vectors(family, 1), mixed_elements(family, 1),
                           max_size=4).map(lambda t: RawLinearMap(family, t))

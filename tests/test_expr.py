@@ -22,7 +22,7 @@ from superder import (
 )
 from superder.algebra import KIND_C, KIND_C1, KIND_G, KIND_I, KIND_L
 from superder.cli import run_command
-from superder.expr import MAX_DIGITS, parse_integer, parse_rational
+from superder.expr import MAX_DIGITS, MAX_TERMS, parse_integer, parse_rational
 
 import strategies as sg
 from helpers import (
@@ -143,6 +143,33 @@ class TestParseElement:
             parse(prefix + "1" * (MAX_DIGITS + 1) + suffix)
         assert exc.value.position == len(prefix) + MAX_DIGITS
         assert "sys.set_int_max_str_digits" not in str(exc.value)
+
+    @staticmethod
+    def _terms(count):
+        """``count`` distinct sw22 terms with mixed signs and spacing, and the
+        position where the last one starts."""
+        text, start = "-L[0]", 1
+        for i in range(1, count):
+            text += (" + ", "-", "  -  2*")[i % 3]
+            start = len(text) - (2 if i % 3 == 2 else 0)
+            text += ("L[%d]", "G[%d]", "I[%d]")[i % 3] % i
+        return text, start
+
+    def test_terms_up_to_the_cap_parse(self):
+        text, _ = self._terms(MAX_TERMS)
+        assert len(parse_element(text, SW22).terms) == MAX_TERMS
+        assert len(parse_derivation("ad(%s) + D" % text, SW22).inner.terms) == MAX_TERMS
+
+    @pytest.mark.parametrize("parse, prefix, suffix", [
+        (lambda src: parse_element(src, SW22), "", ""),
+        (lambda src: parse_derivation(src, SW22), "ad(", ")"),
+        (lambda src: parse_derivation(src, SW22), " ad( ", ") - 3*D"),
+    ])
+    def test_terms_past_the_cap_are_parse_errors(self, parse, prefix, suffix):
+        text, start = self._terms(MAX_TERMS + 1)
+        with pytest.raises(ParseError, match="more than %d terms" % MAX_TERMS) as exc:
+            parse(prefix + text + suffix)
+        assert exc.value.position == len(prefix) + start
 
     @pytest.mark.parametrize("src", [
         "2L[0]",          # missing '*'

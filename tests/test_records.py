@@ -142,8 +142,8 @@ class TestFrozenRecord:
 @pytest.mark.parametrize("cls, fields, frozen, text", PICKLED, ids=ids(PICKLED))
 def test_pickle_round_trip(cls, fields, frozen, text, protocol):
     """Every record whose fields pickle at a protocol pickles there to an
-    equal record; ``Element`` has no state for protocols 0 and 1, so a
-    record holding one refuses those protocols like its field does."""
+    equal record, and a record whose fields refuse a protocol refuses it
+    too; ``Element`` pickles at every protocol, so no record here refuses."""
     record = cls(**fields)
     try:
         pickle.dumps(tuple(fields.values()), protocol)
@@ -159,6 +159,28 @@ def test_pickle_round_trip(cls, fields, frozen, text, protocol):
 def test_pickling_covers_every_record_from_protocol_2():
     for cls, fields, _, _ in PICKLED:
         assert pickle.loads(pickle.dumps(cls(**fields), 2)) == cls(**fields)
+
+
+class _ForgedElement:
+    """Pickles as an ``Element`` of vir holding an sw22 vector."""
+
+    def __reduce__(self):
+        return Element, (VIR, {L1: 1})
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_element_pickles_at_every_protocol(protocol):
+    """An element pickles to an equal one with the same term order, and so
+    does every record holding one; unpickled terms go through the checking
+    constructor, so a forged pickle is refused."""
+    again = pickle.loads(pickle.dumps(X, protocol))
+    assert type(again) is Element and again == X
+    assert list(again.terms.items()) == list(X.terms.items())
+    assert pickle.loads(pickle.dumps(Element(SW22), protocol)) == Element(SW22)
+    for cls, fields, _, _ in PICKLED:
+        assert pickle.loads(pickle.dumps(cls(**fields), protocol)) == cls(**fields)
+    with pytest.raises(FamilyMismatchError):
+        pickle.loads(pickle.dumps(_ForgedElement(), protocol))
 
 
 class TestDefaultsAndNormalisation:
