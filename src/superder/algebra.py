@@ -329,10 +329,8 @@ class Element:
         return hash((self.family, tuple(self.terms.items())))
 
     def __repr__(self):
-        if self.is_zero:
-            return "Element(%s, 0)" % self.family.value
         body = " + ".join("%s*%s" % (c, b.token()) for b, c in self.terms.items())
-        return "Element(%s, %s)" % (self.family.value, body)
+        return "Element(%s, %s)" % (self.family.value, body or "0")
 
 
 # ---------------------------------------------------------------------------
@@ -385,9 +383,8 @@ def _shape_terms(family: AlgebraFamily, shape: str, kind: str,
     (m2, n2)."""
     index = Fraction(m2 + n2, 2)
     if shape == _MODULE:
-        k = 3 * (m2 - 2 * n2)
-        return ((BasisVector(family, kind, index), k),) if k else ()
-    if shape == _WITT:
+        lead, central = 3 * (m2 - 2 * n2), 0
+    elif shape == _WITT:
         m = m2 // 2
         lead, central = 6 * (m2 - n2), m ** 3 - m
     else:

@@ -28,9 +28,7 @@ from typing import Iterable, Tuple
 
 from .algebra import (
     CENTRAL_KINDS,
-    KIND_C,
-    KIND_C1,
-    KIND_C2,
+    KIND_ORDER,
     AlgebraFamily,
     BasisVector,
     Element,
@@ -38,12 +36,14 @@ from .algebra import (
     KindNotInFamilyError,
     PositionedError,
 )
-from .derivations import SuperDerivation
+from .derivations import OUTER_TAG, SuperDerivation
 
 
 class ParseError(PositionedError):
     """A surface-syntax error, with the offending position."""
 
+
+_GENERATORS = frozenset(KIND_ORDER)
 
 # ASCII only: ``str.isdigit`` also accepts other scripts and superscripts.
 _DIGITS = frozenset("0123456789")
@@ -122,14 +122,12 @@ def _parse_index(s: _Scanner) -> Fraction:
 
 def _parse_gen(s: _Scanner, family: AlgebraFamily) -> BasisVector:
     start = s.pos
-    kind = s.peek()
-    if kind not in ("C", "L", "G", "I", "Q"):
+    s.skip_ws()
+    pair = s.src[s.pos:s.pos + 2]  # a generator token is a kind name: C1, C2 or one letter
+    kind = pair if pair in _GENERATORS else pair[:1]
+    if kind not in _GENERATORS:
         raise ParseError("expected a generator", s.pos)
-    s.take()
-    nxt = s.src[s.pos] if s.pos < len(s.src) else ""
-    if kind == KIND_C and nxt in ("1", "2"):
-        s.pos += 1
-        kind = KIND_C1 if nxt == "1" else KIND_C2
+    s.pos += len(kind)
     if kind not in family.kinds:
         raise KindNotInFamilyError(
             "kind %r does not exist in family %r" % (kind, family.value), start)
@@ -247,7 +245,7 @@ def format_derivation(d: SuperDerivation) -> str:
     """Render a superderivation as "ad(...)", "ad(...) +- q*D", "q*D" or "0"."""
     terms = [] if d.inner.is_zero else [("ad(%s)" % format_element(d.inner), 1)]
     if d.outer_lambda:
-        terms.append(("D", d.outer_lambda))
+        terms.append((OUTER_TAG, d.outer_lambda))
     return _signed_terms(terms)
 
 
@@ -258,7 +256,7 @@ def _parse_outer_part(s: _Scanner, sign: int, family: AlgebraFamily) -> Fraction
         raise KindNotInFamilyError(
             "the outer derivation direction exists only in family sw22", s.pos)
     coeff = _parse_coefficient(s)
-    s.expect("D")
+    s.expect(OUTER_TAG)
     if not s.at_end():
         raise ParseError("unexpected %r after the outer part" % s.peek(), s.pos)
     return sign * coeff

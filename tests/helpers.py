@@ -59,6 +59,7 @@ from superder import algebra
 from superder.derivations import _combination
 from superder.linalg import LabeledMatrix, kernel_basis
 from superder.annihilator import _mask_base, _pair_mask
+from strategies import row
 
 F = Fraction
 VIR = AlgebraFamily.VIR
@@ -160,8 +161,9 @@ def matvec(m, v):
 
 def _listed_bracket(u, v):
     """[u, v] for the seven listed kind orders, as (kind, index, coeff)
-    triples (index None for a central charge), or None for any other order."""
-    primary = "C1" if u.family is AlgebraFamily.SW22 else "C"
+    triples (index None for a central charge), or None for any other order.
+    [L, L] and [G, G] reach the first central of the family's test row."""
+    primary = row(u.family).centrals[0]
     m, n = u.index, v.index
     delta = m + n == 0
     d = (m ** 3 - m) / 12 if delta else 0     # d(m), times the delta

@@ -1,14 +1,44 @@
 """Hypothesis strategies over algebra values."""
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
 from superder import AlgebraFamily, BasisVector, Element, RawLinearMap, SuperDerivation
-from superder.algebra import KIND_G
+
+
+class FamilyRow(NamedTuple):
+    towers: tuple      # the non-central kinds, in canonical order
+    centrals: tuple    # the central kinds; the one that [L, L] reaches first
+    half_odd: tuple    # the kinds whose indices are half-odd integers
+    outer: bool        # whether the outer derivation direction D exists
+
+
+# The tests' own statement of each family, keyed by tag and written apart from
+# the package; ``TestFamilyTable`` checks every ``AlgebraFamily`` row against it.
+FAMILIES = {
+    "vir": FamilyRow(("L",), ("C",), (), False),
+    "svir0": FamilyRow(("L", "G"), ("C",), (), False),
+    "svir12": FamilyRow(("L", "G"), ("C",), ("G",), False),
+    "sw22": FamilyRow(("L", "G", "I", "Q"), ("C1", "C2"), (), True),
+}
+ODD_KINDS = ("G", "Q")
+
+
+def row(family):
+    return FAMILIES[family.value]
+
+
+def kinds(family, include_central=True):
+    r = row(family)
+    return r.towers + r.centrals if include_central else r.towers
+
 
 ALL_FAMILIES = tuple(AlgebraFamily)
-SUPER_FAMILIES = (AlgebraFamily.SVIR0, AlgebraFamily.SVIR12, AlgebraFamily.SW22)
+SUPER_FAMILIES = tuple(AlgebraFamily(tag) for tag, r in FAMILIES.items()
+                       if any(k in ODD_KINDS for k in r.towers))
+OUTER_FAMILIES = tuple(AlgebraFamily(tag) for tag, r in FAMILIES.items() if r.outer)
 
 NONZERO_RATIONALS = tuple(Fraction(n, d)
                           for n in (-5, -3, -2, -1, 1, 2, 3, 5)
@@ -20,17 +50,16 @@ QUARTER_RATIONALS = tuple(Fraction(n, d) for n in (-5, -3, -1, 1, 2, 3, 5)
 
 
 def index_values(family, kind, bound=3):
-    if kind in family.central_kinds:
+    if kind in row(family).centrals:
         return (Fraction(0),)
-    if kind == KIND_G and family is AlgebraFamily.SVIR12:
+    if kind in row(family).half_odd:
         return tuple(Fraction(n, 2) for n in range(-2 * bound + 1, 2 * bound, 2))
     return tuple(Fraction(n) for n in range(-bound, bound + 1))
 
 
 def basis_vectors(family, bound=3, include_central=True):
-    kinds = family.kinds if include_central else family.noncentral_kinds
-    pool = tuple(BasisVector(family, k, i)
-                 for k in kinds for i in index_values(family, k, bound))
+    pool = tuple(BasisVector(family, k, i) for k in kinds(family, include_central)
+                 for i in index_values(family, k, bound))
     return st.sampled_from(pool)
 
 
@@ -47,7 +76,7 @@ def elements(family, bound=3, max_terms=4, include_central=True,
 
 def super_derivations(family, bound=4, max_terms=3):
     inner = elements(family, bound, max_terms)
-    if family is AlgebraFamily.SW22:
+    if row(family).outer:
         return st.builds(lambda e, lam: SuperDerivation(family, e, lam),
                          inner, st.sampled_from(RATIONALS))
     return inner.map(SuperDerivation.ad)
@@ -56,7 +85,7 @@ def super_derivations(family, bound=4, max_terms=3):
 def raw_maps(family, bound=1, max_entries=5):
     """Raw tables over a small window whose images mix both parities."""
     pool = tuple(BasisVector(family, k, i)
-                 for k in family.kinds for i in index_values(family, k, bound))
+                 for k in kinds(family) for i in index_values(family, k, bound))
     even = tuple(b for b in pool if b.parity == 0)
     odd = tuple(b for b in pool if b.parity == 1)
     image = st.builds(lambda a, b, c, e: Element(family, ((a, c), (b, e))),
@@ -81,7 +110,7 @@ _TOKENS = _GENERATORS + _CENTRALS + _JUNK + ("D", "ad(", "+", "-", "*", "/", "0"
 
 
 def _expressions(family):
-    own = st.sampled_from(family.noncentral_kinds) | st.sampled_from(family.central_kinds)
+    own = st.sampled_from(row(family).towers) | st.sampled_from(row(family).centrals)
     kind = own | own | st.sampled_from(_GENERATORS + _CENTRALS)
     generator = st.tuples(kind, st.sampled_from(_INDICES)).map(
         lambda t: t[0] if t[0] in _CENTRALS else "".join(t))

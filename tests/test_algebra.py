@@ -62,49 +62,49 @@ from helpers import (
 )
 
 
-# The tests' own statement of each family's towers and centrals.  Which
-# families have odd kinds, and which kinds have half-odd indices, is read
-# from ``strategies``, which states the sectors apart from the package.
-TOWERS_AND_CENTRALS = {
-    VIR: ((KIND_L,), (KIND_C,)),
-    SVIR0: ((KIND_L, KIND_G), (KIND_C,)),
-    SVIR12: ((KIND_L, KIND_G), (KIND_C,)),
-    SW22: ((KIND_L, KIND_G, KIND_I, KIND_Q), (KIND_C1, KIND_C2)),
-}
+per_family = pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
 
 
-@pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
 class TestFamilyTable:
-    """Each ``AlgebraFamily`` row against the tests' statement of the sectors."""
+    """Each ``AlgebraFamily`` row against the tests' own table of the families,
+    ``strategies.FAMILIES``."""
 
+    def test_one_table_row_per_member(self):
+        assert set(sg.FAMILIES) == {family.value for family in AlgebraFamily}
+
+    @per_family
     def test_kinds_with_the_centrals_last(self, family):
-        towers, centrals = TOWERS_AND_CENTRALS[family]
-        assert family.kinds == towers + centrals
-        assert family.noncentral_kinds == towers
-        assert family.central_kinds == centrals
+        r = sg.row(family)
+        assert family.kinds == r.towers + r.centrals
+        assert family.noncentral_kinds == r.towers
+        assert family.central_kinds == r.centrals
         assert (not ODD_KINDS.isdisjoint(family.kinds)) == (family in sg.SUPER_FAMILIES)
 
+    @per_family
     def test_half_odd_kinds_are_svir12s_g(self, family):
-        assert family.half_odd_kinds == ((KIND_G,) if family is SVIR12 else ())
+        assert family.half_odd_kinds == sg.row(family).half_odd
         for kind in family.noncentral_kinds:
             indices = sg.index_values(family, kind)
             assert all(i.denominator == 2 for i in indices) == (kind in family.half_odd_kinds)
             assert all(i.denominator == 1 for i in indices) == (kind not in family.half_odd_kinds)
 
+    @per_family
     def test_outer_direction_in_sw22_alone(self, family):
-        assert family.has_outer is (family is SW22)
+        assert family.has_outer is sg.row(family).outer
 
+    @per_family
     @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
     def test_tag_and_pickle_give_the_member(self, family, protocol):
         assert AlgebraFamily(family.value) is family
         assert AlgebraFamily.from_tag(family.value) is family
         assert pickle.loads(pickle.dumps(family, protocol)) is family
 
+    @per_family
     def test_anchor_pair_parses_the_row(self, family):
         a1, a2, probe = family.anchors
         assert anchor_pair(family) == (parse_element(a1, family), parse_element(a2, family),
                                        None if probe is None else parse_element(probe, family))
-        assert (probe is not None) is family.has_outer
+        assert (probe is not None) is sg.row(family).outer
 
 
 class TestBasisVector:
@@ -146,10 +146,10 @@ def in_sector(draw, span=3):
     """A random (family, kind, index) with the index in its kind's sector;
     centrals get 0, the index they normalise to."""
     family = draw(st.sampled_from(sg.ALL_FAMILIES))
-    kind = draw(st.sampled_from(family.kinds))
-    if kind in CENTRAL_KINDS:
+    kind = draw(st.sampled_from(sg.kinds(family)))
+    if kind in sg.row(family).centrals:
         return family, kind, F(0)
-    if kind == KIND_G and family is SVIR12:
+    if kind in sg.row(family).half_odd:
         return family, kind, F(2 * draw(st.integers(-span, span - 1)) + 1, 2)
     return family, kind, F(draw(st.integers(-span, span)))
 
@@ -331,6 +331,23 @@ class TestElement:
         assert x * F(1, 3) == el(SVIR0, (KIND_L, 1, F(1, 3)), (KIND_G, 2, -1))
         assert -x + x == Element.zero(SVIR0)
 
+    @pytest.mark.parametrize("op, expected", [
+        (lambda x: x + 1, TypeError),
+        (lambda x: x - 1, TypeError),
+        (lambda x: 1.5 * x, TypeError),
+        (lambda x: x == 3, False),
+        (lambda x: repr(Element(x.family)), "Element(vir, 0)"),
+    ], ids=["plus-int", "minus-int", "float-times", "equals-int", "zero-repr"])
+    def test_non_element_operands_and_the_zero_repr(self, op, expected):
+        """A non-element operand gets NotImplemented, so Python raises
+        TypeError, or compares by identity; the zero element prints as 0."""
+        x = el(VIR, (KIND_L, 1, 1))
+        if expected is TypeError:
+            with pytest.raises(TypeError):
+                op(x)
+        else:
+            assert op(x) == expected
+
 
 class TestCanonicalConstructor:
     """Results built from terms that are already canonical, without the
@@ -401,7 +418,7 @@ class TestBracketTable:
 @pytest.mark.parametrize("family", sg.ALL_FAMILIES, ids=lambda f: f.value)
 class TestBracketLaws:
     def test_super_antisymmetry_window(self, family):
-        vecs = [bv(family, k, i) for k in family.kinds
+        vecs = [bv(family, k, i) for k in sg.kinds(family)
                 for i in sg.index_values(family, k, 3)]
         for u in vecs:
             for v in vecs:
@@ -431,7 +448,7 @@ class TestBracketLaws:
         assert math.gcd(12, *ks) == expected
 
     def test_grading_of_bracket_terms(self, family):
-        vecs = [bv(family, k, i) for k in family.noncentral_kinds
+        vecs = [bv(family, k, i) for k in sg.row(family).towers
                 for i in sg.index_values(family, k, 4)]
         for u in vecs:
             for v in vecs:

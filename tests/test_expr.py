@@ -220,7 +220,7 @@ class TestFormatFromInts:
                       label="e")
         assert format_element(e) == reference_format_element(e)
         lam = (data.draw(st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(3)]),
-                         label="lambda") if family is SW22 else F(0))
+                         label="lambda") if sg.row(family).outer else F(0))
         d = SuperDerivation(family, e, lam)
         assert format_derivation(d) == reference_format_derivation(d)
 

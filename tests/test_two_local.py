@@ -56,8 +56,11 @@ def small_test_set(seed=0):
 
 def sample_derivation(family):
     d = SuperDerivation.ad(el(family, (KIND_L, -1, 2), (KIND_L, 2, F(1, 2))))
-    if family is SW22:
-        d = d + SuperDerivation(SW22, el(SW22, (KIND_Q, 1, 3)), F(-1, 2))
+    if sg.row(family).outer:
+        # The last tower (Q in sw22) at its least positive index, and -1/2 D.
+        kind = sg.row(family).towers[-1]
+        index = max(sg.index_values(family, kind, 1))
+        d = d + SuperDerivation(family, el(family, (kind, index, 3)), F(-1, 2))
     return d
 
 
@@ -74,15 +77,15 @@ class TestAnchors:
         assert probe == el(SW22, (KIND_I, 0, 1), (KIND_Q, 0, 1))
 
     @pytest.mark.parametrize("bound", [2, 3, 5, 6])
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     def test_anchor_annihilators_meet_trivially(self, family, bound):
         """ann(a1) and ann(a2) meet in 0, or only in D for sw22, and the
         probe's common annihilator with a1 holds no outer part, so the
         responses pin down the inner part and mu."""
         window = GradedWindow(F(bound))
         a1, a2, probe = anchor_pair(family)
-        expected = ((SuperDerivation(SW22, Element.zero(SW22), F(1)),)
-                    if family is SW22 else ())
+        expected = ((SuperDerivation(family, Element.zero(family), F(1)),)
+                    if sg.row(family).outer else ())
         assert pair_mask_basis(a1, a2, window, family) == expected
         if probe is not None:
             for d in pair_mask_basis(a1, probe, window, family):
@@ -142,12 +145,12 @@ class TestHonestOracle:
                 saw_nonzero_mask = True
         assert saw_nonzero_mask
 
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     def test_zero_pair_mask_basis_is_every_window_direction(self, family):
         window = GradedWindow(F(2))
         zero = Element.zero(family)
         expected = [SuperDerivation.ad(Element.basis(g)) for g in window.generators(family)]
-        if family is SW22:
+        if sg.row(family).outer:
             expected.append(SuperDerivation(family, zero, F(1)))
         assert pair_mask_basis(zero, zero, window, family) == tuple(expected)
 
@@ -177,7 +180,7 @@ class TestHonestOracle:
         assert got == reference_pair_mask_basis(x, y, window)
         assert d in got
 
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     def test_a_mask_that_does_not_kill_the_anchors_is_a_defect(self, family, monkeypatch):
         """The oracle reports d's values and checked_query evaluates the
         masked map, so a mask outside the pair's annihilator is caught."""
@@ -219,7 +222,7 @@ class TestHonestOracle:
         self.assert_response_is_the_basis_combination(d, x, y, window, seed)
 
     @pytest.mark.parametrize("bound", [0, 2])
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     def test_response_with_zero_arguments_or_no_mask(self, family, bound):
         d = sample_derivation(family)
         a1, a2, _ = anchor_pair(family)
@@ -230,7 +233,7 @@ class TestHonestOracle:
                 self.assert_response_is_the_basis_combination(d, x, y, window, seed)
 
     @pytest.mark.parametrize("bound", [0, 2, 4])
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     def test_one_oracle_answers_each_query_for_its_own_first_argument(self, family, bound):
         """The oracle keeps what depends on its latest first argument alone;
         a query led by another argument, zero included, must not reuse it."""
@@ -376,7 +379,7 @@ class TestGlobalizeDishonest:
         assert not cert.checks[0].passed
 
     @pytest.mark.parametrize("kind", ADVERSARIAL_KINDS)
-    @pytest.mark.parametrize("family", [VIR, SVIR0, SVIR12, SW22])
+    @pytest.mark.parametrize("family", sg.ALL_FAMILIES)
     @pytest.mark.parametrize("seed", [0, 1])
     def test_adversaries_fail_with_witness(self, kind, family, seed):
         oracle = make_adversarial_oracle(kind, family)
